@@ -69,7 +69,6 @@ from .privileged import (
     Solvability,
     UnsolvableError,
     cycle_orientation_invariant,
-    edge_privileged_solvable,
     is_valid_restricted_flip,
     path_order_invariant,
     privileged_transform,

@@ -4,7 +4,8 @@ Vertices are assumed to carry the canonical path indexing 0-1-...-(n-1),
 so a flip is a swap of adjacent positions.  The minimum number of flips
 between two labelings is the inversion count of their relative
 permutation, and t flips suffice exactly when t is at least that count
-and of the same parity.
+and of the same parity, except that a count of 0 < t needs an edge to
+flip.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def path_exact_t_feasible(labels: Sequence[int], target: Sequence[int], t: int) 
     if t < 0:
         raise ValueError("t must be nonnegative")
     d = path_distance(labels, target)
-    return t >= d and (t - d) % 2 == 0
+    # padding d = 0 up to t > 0 needs an edge to flip
+    return t >= d and (t - d) % 2 == 0 and (t == d or len(labels) > 1)
 
 
 def transposition_cost_on_path(i: int, j: int) -> tuple[int, list[tuple[int, int]]]:

@@ -10,7 +10,8 @@ permutation pi is the parameter q:
   * q = q(pi0) - 1 otherwise,
 
 where pi0 is pi normalized to fix 0.  Exactly t flips work iff t >= q
-and t has the same parity as q.
+and t has the same parity as q, except that q = 0 < t needs a leaf to
+flip with.
 """
 
 from __future__ import annotations
@@ -18,16 +19,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from .labeling import relative_permutation
-from .perm import cycle_decomposition, validated
+from .perm import cycle_decomposition, pi_zero, validated
 
 
 def _q(p: tuple[int, ...]) -> int:
     if p and p[0] != 0:
-        i = p[0]
-        j = p.index(0)
-        p0 = list(p)
-        p0[0], p0[j] = p0[j], p0[0]  # p composed with (0, j), fixes 0
-        return _q(tuple(p0)) + (1 if i == j else -1)
+        return _q(pi_zero(p)) + (1 if p[p[0]] == 0 else -1)
     cycles = cycle_decomposition(p)
     return sum(len(c) for c in cycles) + len(cycles)
 
@@ -49,18 +46,23 @@ def star_flip_sequence(labels: Sequence[int],
     Greedy center rule: while the center holds a label c that is not its
     own, flip with c's home vertex; when the center holds 0 but leaves are
     wrong, flip with the lowest-index wrong leaf.  Each flip lowers q by
-    one, so the length equals star_distance(labels, target).
+    one, so the length equals star_distance(labels, target).  A flip never
+    touches a leaf that holds its own label, so the search for the lowest
+    wrong leaf resumes where it last stopped and the whole run is O(n).
     """
     rel = list(relative_permutation(validated(labels), validated(target)))
     n = len(rel)
     flips: list[tuple[int, int]] = []
+    low = 1  # every leaf below low holds its own label
     while True:
         if rel[0] != 0:
             i = rel[0]
         else:
-            i = next((v for v in range(1, n) if rel[v] != v), 0)
-            if i == 0:
+            while low < n and rel[low] == low:
+                low += 1
+            if low == n:
                 break
+            i = low
         flips.append((0, i))
         rel[0], rel[i] = rel[i], rel[0]
     return flips
@@ -71,7 +73,8 @@ def star_exact_t_feasible(labels: Sequence[int], target: Sequence[int], t: int) 
     if t < 0:
         raise ValueError("t must be nonnegative")
     q = star_distance(labels, target)
-    return t >= q and (t - q) % 2 == 0
+    # padding q = 0 up to t > 0 needs a leaf to flip with
+    return t >= q and (t - q) % 2 == 0 and (t == q or len(labels) > 1)
 
 
 def star_max_distance(n: int) -> int:

@@ -6,6 +6,7 @@ flip of the original graph is exactly a vertex flip.  The flip rule is
 either unrestricted or privileged(S): a flip is legal only if at least
 one of the two swapped labels belongs to S.
 
+Every query reads one breadth-first search, keyed by the labeling tuple.
 All searches refuse to start when the space would exceed the capacity
 guard (10! states by default); pass a larger capacity explicitly to
 override.
@@ -14,7 +15,7 @@ override.
 from __future__ import annotations
 
 import math
-from collections import deque
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .graph import Graph, line_graph
@@ -69,11 +70,12 @@ class ConfigurationSpace:
 
     def neighbor_flips(self, state: tuple[int, ...]) -> Iterator[
             tuple[tuple[int, int], tuple[int, ...]]]:
-        for u, v in self.base.edges:
+        for edge in self.base.edges:
+            u, v = edge
             if self.is_legal(state, u, v):
                 nxt = list(state)
                 nxt[u], nxt[v] = nxt[v], nxt[u]
-                yield (u, v), tuple(nxt)
+                yield edge, tuple(nxt)
 
     def validate_state(self, state: Sequence[int]) -> tuple[int, ...]:
         return validate_vertex_labeling(self.base, state)
@@ -82,28 +84,33 @@ class ConfigurationSpace:
         return identity_labeling(self.positions)
 
 
-def rank_labeling(state: Sequence[int]) -> int:
-    """Mixed-radix (factorial base) rank of a labeling; a bijection onto 0..n!-1."""
-    n = len(state)
-    r = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if state[j] < state[i])
-        r = r * (n - i) + smaller
-    return r
+def _search(space: ConfigurationSpace, src: tuple[int, ...],
+            dst: tuple[int, ...] | None = None
+            ) -> tuple[dict[tuple[int, ...], tuple[int, int] | None], list[int]]:
+    """Breadth-first search from src, level by level, flips tried in edge order.
 
-
-def unrank_labeling(n: int, r: int) -> tuple[int, ...]:
-    """Inverse of rank_labeling."""
-    digits = []
-    for base in range(1, n + 1):
-        digits.append(r % base)
-        r //= base
-    digits.reverse()
-    pool = list(range(n))
-    out = []
-    for d in digits:
-        out.append(pool.pop(d))
-    return tuple(out)
+    Returns (reached, sizes).  reached maps every labeling found, in
+    discovery order, to the edge whose flip first reached it (src maps to
+    None); sizes[k] counts the labelings found at depth k.  The search
+    stops the moment dst is found, so dst, when reached, sits at depth
+    len(sizes) - 1.
+    """
+    reached: dict[tuple[int, ...], tuple[int, int] | None] = {src: None}
+    sizes = [1]
+    level = [src]
+    while level and dst not in reached:
+        found = []
+        for state in level:
+            for edge, nxt in space.neighbor_flips(state):
+                if nxt not in reached:
+                    reached[nxt] = edge
+                    found.append(nxt)
+                    if nxt == dst:
+                        return reached, sizes + [len(found)]
+        if found:
+            sizes.append(len(found))
+        level = found
+    return reached, sizes
 
 
 def distance_map(space: ConfigurationSpace,
@@ -111,18 +118,11 @@ def distance_map(space: ConfigurationSpace,
     """BFS distances from source to every reachable labeling."""
     space.check_capacity()
     src = space.validate_state(source)
-    visited = {rank_labeling(src): 0}
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        state = queue.popleft()
-        d = dist[state]
-        for _, nxt in space.neighbor_flips(state):
-            key = rank_labeling(nxt)
-            if key not in visited:
-                visited[key] = d + 1
-                dist[nxt] = d + 1
-                queue.append(nxt)
+    dist, sizes = _search(space, src)
+    states = iter(dist)
+    for depth, size in enumerate(sizes):
+        for state in islice(states, size):
+            dist[state] = depth
     return dist
 
 
@@ -132,21 +132,8 @@ def bfs_distance(space: ConfigurationSpace, frm: Sequence[int],
     space.check_capacity()
     src = space.validate_state(frm)
     dst = space.validate_state(to)
-    if src == dst:
-        return 0
-    dst_key = rank_labeling(dst)
-    visited = {rank_labeling(src): 0}
-    queue = deque([(src, 0)])
-    while queue:
-        state, d = queue.popleft()
-        for _, nxt in space.neighbor_flips(state):
-            key = rank_labeling(nxt)
-            if key not in visited:
-                if key == dst_key:
-                    return d + 1
-                visited[key] = d + 1
-                queue.append((nxt, d + 1))
-    return None
+    reached, sizes = _search(space, src, dst)
+    return len(sizes) - 1 if dst in reached else None
 
 
 def shortest_flip_sequence(space: ConfigurationSpace, frm: Sequence[int],
@@ -155,68 +142,44 @@ def shortest_flip_sequence(space: ConfigurationSpace, frm: Sequence[int],
     space.check_capacity()
     src = space.validate_state(frm)
     dst = space.validate_state(to)
-    if src == dst:
-        return []
-    back: dict[int, tuple[tuple[int, ...], tuple[int, int]]] = {}
-    visited = {rank_labeling(src)}
-    queue = deque([src])
-    while queue:
-        state = queue.popleft()
-        for flip, nxt in space.neighbor_flips(state):
-            key = rank_labeling(nxt)
-            if key in visited:
-                continue
-            visited.add(key)
-            back[key] = (state, flip)
-            if nxt == dst:
-                flips = []
-                cur_key, cur = key, nxt
-                while cur != src:
-                    prev, f = back[cur_key]
-                    flips.append(f)
-                    cur = prev
-                    cur_key = rank_labeling(prev)
-                flips.reverse()
-                return flips
-            queue.append(nxt)
-    return None
+    reached, _ = _search(space, src, dst)
+    if dst not in reached:
+        return None
+    # undo the stored flips from dst back to src
+    flips = []
+    state = list(dst)
+    edge = reached[dst]
+    while edge is not None:
+        flips.append(edge)
+        u, v = edge
+        state[u], state[v] = state[v], state[u]
+        edge = reached[tuple(state)]
+    flips.reverse()
+    return flips
 
 
 def reachable_in_exactly(space: ConfigurationSpace, frm: Sequence[int],
                          to: Sequence[int], t: int) -> bool:
     """True iff some walk of exactly t legal flips joins frm and to.
 
-    BFS over (labeling, walk parity) pairs gives the shortest even and odd
-    walks; longer walks of the same parity pad by repeating a flip.
+    With d the distance, that holds iff t >= d, t = d (mod 2), and, when
+    d = 0 < t, some flip is legal at frm.  Every flip transposes two labels and so
+    changes the labeling's sign: the space is bipartite and every walk from
+    frm to to has the parity of d.  A flip and its undo swap the same two
+    labels, so both are legal and a shortest walk pads two flips at a time.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     space.check_capacity()
     src = space.validate_state(frm)
     dst = space.validate_state(to)
-    want = (rank_labeling(dst), t % 2)
-    start = (rank_labeling(src), 0)
-    best = 0 if want == start else None
-    visited = {start}
-    queue = deque([(src, 0, 0)])
-    while queue and best is None:
-        state, par, d = queue.popleft()
-        for _, nxt in space.neighbor_flips(state):
-            key = (rank_labeling(nxt), (par + 1) % 2)
-            if key not in visited:
-                visited.add(key)
-                if key == want:
-                    best = d + 1
-                    break
-                queue.append((nxt, (par + 1) % 2, d + 1))
-    if best is None or t < best:
+    reached, sizes = _search(space, src, dst)
+    if dst not in reached:
         return False
-    if t == best:
-        return True
-    # pad t - best (even) by repeating some flip; needs one legal flip on the walk
-    if best >= 1:
-        return True
-    return next(space.neighbor_flips(src), None) is not None
+    d = len(sizes) - 1
+    if t < d or (t - d) % 2:
+        return False
+    return t == d or d > 0 or next(space.neighbor_flips(src), None) is not None
 
 
 class ComponentSummary(NamedTuple):

@@ -168,8 +168,8 @@ def pi_zero(p: Sequence[int]) -> tuple[int, ...]:
     If p(0) = 0 this is p itself; otherwise it is p composed with the
     transposition (0, j) where p(j) = 0, which always sends 0 to 0.
     """
-    t = tuple(p)
-    if not t or t[0] == 0:
-        return t
-    j = t.index(0)
-    return compose(t, transposition(len(t), 0, j))
+    t = list(p)
+    if t and t[0] != 0:
+        j = t.index(0)
+        t[0], t[j] = t[j], t[0]
+    return tuple(t)

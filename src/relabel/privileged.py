@@ -247,10 +247,12 @@ def solvable(inst: PrivilegedInstance) -> Solvability:
 
     yes: at most one non-privileged label, or exactly two on a non-path
     with at least four vertices.  no: a failed path order or cycle
-    orientation invariant.  Everything else is unknown_use_oracle.
+    orientation invariant.  Everything else is unknown_use_oracle.  Edge
+    instances are decided on the line graph, where restricted edge flips
+    are restricted vertex flips.
     """
-    if inst.kind != "vertex":
-        raise ValueError("use edge_privileged_solvable for edge instances")
+    if inst.kind == "edge":
+        inst = _line_graph_instance(inst)
     g = inst.graph
     if not is_connected(g):
         raise ValueError("graph is not connected")
@@ -279,12 +281,6 @@ def _line_graph_instance(inst: PrivilegedInstance) -> PrivilegedInstance:
         raise ValueError("expected an edge instance")
     return PrivilegedInstance(line_graph(inst.graph), "vertex", inst.from_labels,
                               inst.to_labels, inst.privileged, inst.t)
-
-
-def edge_privileged_solvable(inst: PrivilegedInstance) -> Solvability:
-    """Edge variant: restricted edge flips are restricted vertex flips on
-    the line graph, so solvability transfers verbatim."""
-    return solvable(_line_graph_instance(inst))
 
 
 def resolve_solvable(inst: PrivilegedInstance, want_witness: bool = False,

@@ -95,13 +95,14 @@ def exact_t_feasible(g: Graph, labels: Sequence[int], target: Sequence[int],
     """True iff exactly t flips can turn labels into target.
 
     Feasible exactly when t is at least the BFS distance and of the same
-    parity; the distance parity equals the relative permutation's parity.
+    parity, and a distance of 0 < t finds an edge to flip; the distance
+    parity equals the relative permutation's parity.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     d = p_g(g, labels, target, capacity=capacity)
     assert d % 2 == parity(relative_permutation(labels, target))
-    return t >= d and (t - d) % 2 == 0
+    return t >= d and (t - d) % 2 == 0 and (t == d or g.m > 0)
 
 
 def p_g_diameter(g: Graph, capacity: int = CAPACITY_LIMIT) -> int:

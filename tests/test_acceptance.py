@@ -9,16 +9,14 @@ sampled pairwise BFS runs cross-check the reduction.
 
 import itertools
 import random
-from collections import Counter, deque
+from collections import Counter
 
 from relabel.exact_path import path_distance, path_exact_t_feasible
-from relabel.exact_star import star_flip_sequence, star_max_distance, star_q
+from relabel.exact_star import star_distance, star_flip_sequence, star_max_distance, star_q
 from relabel.graph import Graph, is_connected, is_path, make_family, tree_path
 from relabel.labeling import (
-    apply_edge_flip,
     apply_vertex_flip,
     apply_vertex_sequence,
-    edges_share_endpoint,
     identity_labeling,
     relative_permutation,
 )
@@ -105,7 +103,6 @@ def test_criterion_3_star_exactness():
         for _ in range(20):
             a = tuple(rng.sample(range(n), n))
             b = tuple(rng.sample(range(n), n))
-            from relabel.exact_star import star_distance
             if star_distance(a, b) != bfs_distance(space, a, b):
                 bad.append((n, a, b))
     report(3, "star distance equals BFS for n=3..7, diameter floor(3(n-1)/2)",
@@ -145,22 +142,7 @@ def test_criterion_5_constructive_upper_bound():
     assert not bad
 
 
-def brute_edge_distances(g, source):
-    pairs = [(i, j) for i in range(g.m) for j in range(i + 1, g.m)
-             if edges_share_endpoint(g, i, j)]
-    dist = {tuple(source): 0}
-    queue = deque([tuple(source)])
-    while queue:
-        state = queue.popleft()
-        for pair in pairs:
-            nxt = apply_edge_flip(g, state, pair)
-            if nxt not in dist:
-                dist[nxt] = dist[state] + 1
-                queue.append(nxt)
-    return dist
-
-
-def test_criterion_6_reduction_soundness():
+def test_criterion_6_reduction_soundness(brute_edge_distances):
     # v2e is checked for what vertex_to_edge guarantees on its own output:
     # (i) completeness, (ii) parity, (iii) tightness at d_V = 1.  It is not
     # sound: (iv) counts the no-instances that map to yes-instances and

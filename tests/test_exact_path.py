@@ -114,10 +114,11 @@ def test_oracle_equivalence_all_pairs_n4():
 def test_feasibility_matches_oracle_walks():
     from relabel.oracle import reachable_in_exactly
 
-    g = make_family("path", 4)
-    space = ConfigurationSpace(g)
-    ident = identity_labeling(4)
-    for lab in itertools.permutations(range(4)):
-        for t in range(7):
-            assert path_exact_t_feasible(lab, ident, t) == \
-                reachable_in_exactly(space, lab, ident, t)
+    # n = 1: no flip at all, so only t = 0 works
+    for n in (1, 4):
+        space = ConfigurationSpace(make_family("path", n))
+        ident = identity_labeling(n)
+        for lab in itertools.permutations(range(n)):
+            for t in range(7):
+                assert path_exact_t_feasible(lab, ident, t) == \
+                    reachable_in_exactly(space, lab, ident, t)

@@ -64,11 +64,20 @@ def test_greedy_length_equals_q_exhaustive():
 
 def test_flip_sequence_arbitrary_targets():
     rng = random.Random(6)
+    pairs = []
     for _ in range(100):
         n = rng.randint(2, 8)
-        g = make_family("star", n)
-        a = tuple(rng.sample(range(n), n))
-        b = tuple(rng.sample(range(n), n))
+        pairs.append((tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))))
+    # half the leaves fixed, the rest swapped in pairs: rescanning from
+    # leaf 1 after every flip would make the greedy quadratic here
+    n = 2001
+    moved = rng.sample(range(1, n), n // 2)
+    adversary = list(range(n))
+    for u, v in zip(moved[::2], moved[1::2]):
+        adversary[u], adversary[v] = v, u
+    pairs.append((tuple(adversary), identity_labeling(n)))
+    for a, b in pairs:
+        g = make_family("star", len(a))
         seq = star_flip_sequence(a, b)
         assert len(seq) == star_distance(a, b)
         assert apply_vertex_sequence(g, a, seq) == b
@@ -103,13 +112,14 @@ def test_exact_t_examples():
 def test_exact_t_matches_oracle_walks():
     from relabel.oracle import reachable_in_exactly
 
-    g = make_family("star", 4)
-    space = ConfigurationSpace(g)
-    ident = identity_labeling(4)
-    for lab in itertools.permutations(range(4)):
-        for t in range(7):
-            assert star_exact_t_feasible(lab, ident, t) == \
-                reachable_in_exactly(space, lab, ident, t)
+    # n = 1: no flip at all, so only t = 0 works
+    for n in (1, 4):
+        space = ConfigurationSpace(make_family("star", n))
+        ident = identity_labeling(n)
+        for lab in itertools.permutations(range(n)):
+            for t in range(7):
+                assert star_exact_t_feasible(lab, ident, t) == \
+                    reachable_in_exactly(space, lab, ident, t)
 
 
 def test_diameter_and_distribution():

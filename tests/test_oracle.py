@@ -1,11 +1,10 @@
 import itertools
 import random
-from collections import deque
 
 import pytest
 
 from relabel.graph import Graph, make_family
-from relabel.labeling import apply_edge_flip, edges_share_endpoint, identity_labeling
+from relabel.labeling import apply_vertex_flip, identity_labeling
 from relabel.oracle import (
     CapacityError,
     ConfigurationSpace,
@@ -14,27 +13,9 @@ from relabel.oracle import (
     diameter,
     distance_distribution,
     distance_map,
-    rank_labeling,
     reachable_in_exactly,
     shortest_flip_sequence,
-    unrank_labeling,
 )
-
-
-def brute_edge_distances(g, source):
-    # edge-flip BFS straight off the edge list, no line graph involved
-    pairs = [(i, j) for i in range(g.m) for j in range(i + 1, g.m)
-             if edges_share_endpoint(g, i, j)]
-    dist = {tuple(source): 0}
-    queue = deque([tuple(source)])
-    while queue:
-        state = queue.popleft()
-        for pair in pairs:
-            nxt = apply_edge_flip(g, state, pair)
-            if nxt not in dist:
-                dist[nxt] = dist[state] + 1
-                queue.append(nxt)
-    return dist
 
 
 def test_bfs_distance_examples():
@@ -73,6 +54,26 @@ def test_no_odd_closed_walks():
         lab = tuple(rng.sample(range(4), 4))
         for t in (1, 3, 5):
             assert not reachable_in_exactly(space, lab, lab, t)
+
+
+def test_reachable_in_exactly_matches_walk_frontiers():
+    # S_0 = {frm}, S_{k+1} = every labeling one legal flip from S_k:
+    # to is reachable in exactly t flips iff it lies in S_t
+    cases = [(make_family("path", 4), None), (make_family("cycle", 4), None),
+             (make_family("star", 4), None), (make_family("grid", 2), {3}),
+             (make_family("path", 1), None)]
+    for g, priv in cases:
+        space = ConfigurationSpace(g, privileged=priv)
+        labelings = list(itertools.permutations(range(g.n)))
+        for frm in labelings:
+            frontier = {frm}
+            for t in range(9):
+                for to in labelings:
+                    assert reachable_in_exactly(space, frm, to, t) == (to in frontier), \
+                        (g.edges, priv, frm, to, t)
+                frontier = {apply_vertex_flip(g, s, (u, v)) for s in frontier
+                            for u, v in g.edges
+                            if priv is None or s[u] in priv or s[v] in priv}
 
 
 def test_component_full_space():
@@ -129,6 +130,21 @@ def test_shortest_flip_sequence():
         assert apply_vertex_sequence(g, a, seq) == b
 
 
+def test_shortest_flip_sequence_tie_breaking():
+    # pinned sequences: flips are tried in edge order, level by level, and
+    # the first flip to reach a labeling is kept
+    c5 = make_family("cycle", 5)
+    assert shortest_flip_sequence(ConfigurationSpace(c5), (3, 4, 0, 1, 2),
+                                  identity_labeling(5)) == \
+        [(0, 1), (1, 2), (2, 3), (0, 4), (0, 1), (1, 2)]
+    grid = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    space = ConfigurationSpace(grid, privileged=[5])
+    assert shortest_flip_sequence(space, (3, 4, 5, 0, 1, 2), identity_labeling(6)) == \
+        [(1, 2), (0, 1), (0, 3), (3, 4), (1, 4), (1, 2), (2, 5), (4, 5), (3, 4),
+         (0, 3), (0, 1), (1, 4), (4, 5), (2, 5), (1, 2), (0, 1), (0, 3), (3, 4),
+         (1, 4), (1, 2), (2, 5)]
+
+
 def test_capacity_guard():
     big = make_family("path", 11)
     space = ConfigurationSpace(big)
@@ -140,7 +156,7 @@ def test_capacity_guard():
     assert diameter(ConfigurationSpace(small, capacity=10**6)) == 10
 
 
-def test_edge_mode_matches_direct_edge_flips():
+def test_edge_mode_matches_direct_edge_flips(brute_edge_distances):
     for g in (make_family("path", 4), make_family("star", 4),
               make_family("cycle", 4), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])):
         ident = identity_labeling(g.m)
@@ -152,19 +168,6 @@ def test_edge_mode_matches_direct_edge_flips():
 def test_edge_mode_diameter_bound():
     g = make_family("path", 4)
     assert diameter(ConfigurationSpace(g, mode="edge")) <= g.m * (g.m - 1) // 2
-
-
-def test_rank_bijection():
-    for n in range(7):
-        seen = set()
-        for p in itertools.permutations(range(n)):
-            r = rank_labeling(p)
-            assert unrank_labeling(n, r) == p
-            seen.add(r)
-        size = 1
-        for k in range(2, n + 1):
-            size *= k
-        assert seen == set(range(size))
 
 
 def test_determinism():

@@ -10,7 +10,6 @@ from relabel.privileged import (
     PrivilegedInstance,
     UnsolvableError,
     cycle_orientation_invariant,
-    edge_privileged_solvable,
     is_valid_restricted_flip,
     path_order_invariant,
     privileged_transform,
@@ -252,15 +251,15 @@ def test_edge_privileged_solvable():
     frm = (4, 3, 0, 1, 2)
     to = (4, 3, 1, 0, 2)
     bad = PrivilegedInstance(p6, "edge", frm, to, frozenset({4, 3, 2}))
-    assert edge_privileged_solvable(bad) == ("no", "invariant")
+    assert solvable(bad) == ("no", "invariant")
     # star edges with two non-privileged labels: line graph is complete
     s5 = make_family("star", 5)
     inst = PrivilegedInstance(s5, "edge", (3, 2, 1, 0), (0, 1, 2, 3),
                               frozenset({2, 3}))
-    assert edge_privileged_solvable(inst) == ("yes", "theorem")
+    assert solvable(inst) == ("yes", "theorem")
     same = PrivilegedInstance(s5, "edge", (3, 2, 1, 0), (3, 2, 1, 0),
                               frozenset({0}))
-    assert edge_privileged_solvable(same).answer == "yes"
+    assert solvable(same).answer == "yes"
     answer, method, witness = resolve_solvable(inst, want_witness=True)
     assert answer == "yes"
     # the witness is a sequence of edge-index pairs sharing endpoints

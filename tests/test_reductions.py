@@ -1,15 +1,12 @@
 import itertools
 import random
-from collections import deque
 
 import pytest
 
 from relabel.graph import line_graph, make_family
 from relabel.labeling import (
-    apply_edge_flip,
     apply_edge_sequence,
     apply_vertex_sequence,
-    edges_share_endpoint,
     identity_labeling,
 )
 from relabel.oracle import ConfigurationSpace, bfs_distance, distance_map
@@ -21,22 +18,6 @@ from relabel.reductions import (
     pendant_graph,
     vertex_to_edge,
 )
-
-
-def brute_edge_distances(g, source):
-    # direct edge-flip BFS, independent of the line-graph machinery
-    pairs = [(i, j) for i in range(g.m) for j in range(i + 1, g.m)
-             if edges_share_endpoint(g, i, j)]
-    dist = {tuple(source): 0}
-    queue = deque([tuple(source)])
-    while queue:
-        state = queue.popleft()
-        for pair in pairs:
-            nxt = apply_edge_flip(g, state, pair)
-            if nxt not in dist:
-                dist[nxt] = dist[state] + 1
-                queue.append(nxt)
-    return dist
 
 
 def test_vertex_to_edge_p2():
@@ -138,7 +119,7 @@ def test_edge_to_vertex_examples():
     assert edge_to_vertex(same).from_labels == edge_to_vertex(same).to_labels
 
 
-def test_edge_to_vertex_preserves_answers_exactly():
+def test_edge_to_vertex_preserves_answers_exactly(brute_edge_distances):
     # flip-for-flip correspondence: checked against a direct edge-flip BFS
     for g in (make_family("path", 3), make_family("path", 4),
               make_family("star", 4)):

@@ -9,7 +9,7 @@ from relabel.labeling import (
     identity_labeling,
     relative_permutation,
 )
-from relabel.oracle import ConfigurationSpace, bfs_distance, distance_map
+from relabel.oracle import ConfigurationSpace, bfs_distance, distance_map, reachable_in_exactly
 from relabel.perm import parity
 from relabel.transform import (
     _transform_steps,
@@ -74,6 +74,12 @@ def test_exact_t_feasible():
         assert exact_t_feasible(c4, a, b, d)
         assert not exact_t_feasible(c4, a, b, d + 1)
         assert exact_t_feasible(c4, a, b, d + 2)
+    # the 1-vertex graph has no flip to pad with
+    p1 = make_family("path", 1)
+    space = ConfigurationSpace(p1)
+    for t in range(4):
+        assert exact_t_feasible(p1, (0,), (0,), t) == \
+            reachable_in_exactly(space, (0,), (0,), t) == (t == 0)
 
 
 def test_p_g_agrees_with_closed_forms():
