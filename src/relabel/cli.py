@@ -24,7 +24,7 @@ from .jsonio import (
     instance_to_json,
     labeling_from_json,
 )
-from .labeling import apply_vertex_sequence
+from .labeling import apply_vertex_sequence, validate_vertex_labeling
 from .oracle import (
     CAPACITY_LIMIT,
     CapacityError,
@@ -67,11 +67,11 @@ def _load_graph(path: str) -> Graph:
     return graph_from_json(_load_json(path))
 
 
-def _load_vertex_labels(path: str) -> tuple[int, ...]:
+def _load_vertex_labels(path: str, g: Graph) -> tuple[int, ...]:
     kind, labels = labeling_from_json(_load_json(path))
     if kind != "vertex":
         raise ValueError(f"{path}: expected a vertex labeling")
-    return labels
+    return validate_vertex_labeling(g, labels)
 
 
 def _load_board(source: str) -> Any:
@@ -103,8 +103,8 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[Any, int]:
 
 def _cmd_distance(args: argparse.Namespace) -> tuple[Any, int]:
     g = _load_graph(args.graph)
-    frm = _load_vertex_labels(args.source)
-    to = _load_vertex_labels(args.target)
+    frm = _load_vertex_labels(args.source, g)
+    to = _load_vertex_labels(args.target, g)
     method = args.method
     center = _star_center(g)
 
@@ -137,8 +137,8 @@ def _cmd_distance(args: argparse.Namespace) -> tuple[Any, int]:
 
 def _cmd_transform(args: argparse.Namespace) -> tuple[Any, int]:
     g = _load_graph(args.graph)
-    frm = _load_vertex_labels(args.source)
-    to = _load_vertex_labels(args.target)
+    frm = _load_vertex_labels(args.source, g)
+    to = _load_vertex_labels(args.target, g)
     if args.method == "bfs":
         space = ConfigurationSpace(g, capacity=_capacity(args))
         flips = shortest_flip_sequence(space, frm, to)

@@ -13,6 +13,8 @@ from collections import deque
 from typing import Iterable, Sequence
 
 FAMILIES = ("path", "star", "cycle", "grid", "complete", "random_connected")
+# make_family refuses a member with more vertices, or more (candidate) edges, than this
+FAMILY_SIZE_LIMIT = 10 ** 7
 
 
 class Graph:
@@ -100,11 +102,20 @@ def make_family(family: str, n: int, seed: int | None = None,
     path: 0-1-...-(n-1).  star: center 0.  cycle: 0-1-...-(n-1)-0.
     grid: n is the side length, vertices row-major.  complete: K_n.
     random_connected: Erdos-Renyi, redrawn until connected.
+    Raises ValueError, before building anything, for a member with more
+    than FAMILY_SIZE_LIMIT vertices or edges; random_connected counts
+    every candidate pair, since it draws one random number per pair.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     if n < 1:
         raise ValueError(f"size must be >= 1, got {n}")
+    vertices = n * n if family == "grid" else n
+    edges = {"grid": 2 * n * (n - 1), "complete": n * (n - 1) // 2,
+             "random_connected": n * (n - 1) // 2}.get(family, n)
+    if max(vertices, edges) > FAMILY_SIZE_LIMIT:
+        raise ValueError(f"{family} of size {n} needs {vertices} vertices and up to "
+                         f"{edges} edges; the limit is {FAMILY_SIZE_LIMIT} of each")
     if family == "path":
         return Graph(n, [(i, i + 1) for i in range(n - 1)])
     if family == "star":

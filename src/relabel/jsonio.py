@@ -7,6 +7,10 @@ Flip sequence:  {"flips": [[u, v], ...]}                   (vertex flips)
                 {"flips": [[e1, e2], ...], "kind": "edge"} (edge flips)
 Instance:       {"kind": "vertex"|"edge", "graph": ..., "from": ..., "to": ..., "t": int}
                 plus "privileged": [...] for privileged instances (t may be null).
+
+The decoders accept only JSON integers (not booleans) for vertex counts,
+edge endpoints, labels, flips, privileged labels and bounds, and raise
+ValueError for anything else.
 """
 
 from __future__ import annotations
@@ -18,6 +22,25 @@ from .privileged import PrivilegedInstance
 from .reductions import EdgeInstance, VertexInstance
 
 
+def _int(x: Any, what: str) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{what}: expected an integer, got {x!r}")
+    return x
+
+
+def _ints(xs: Any, what: str, length: int | None = None) -> tuple[int, ...]:
+    if not isinstance(xs, (list, tuple)) or length not in (None, len(xs)):
+        shape = "a list of integers" if length is None else f"a list of {length} integers"
+        raise ValueError(f"{what}: expected {shape}, got {xs!r}")
+    return tuple(_int(x, what) for x in xs)
+
+
+def _pairs(xs: Any, what: str) -> list[tuple[int, ...]]:
+    if not isinstance(xs, (list, tuple)):
+        raise ValueError(f"{what}: expected a list of pairs, got {xs!r}")
+    return [_ints(x, what, 2) for x in xs]
+
+
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
@@ -25,7 +48,7 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(obj: Any) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('graph JSON needs "n" and "edges"')
-    return Graph(obj["n"], [tuple(e) for e in obj["edges"]])
+    return Graph(_int(obj["n"], "vertex count"), _pairs(obj["edges"], "edges"))
 
 
 def vertex_labeling_to_json(labels: Sequence[int]) -> dict:
@@ -39,9 +62,9 @@ def edge_labeling_to_json(labels: Sequence[int]) -> dict:
 def labeling_from_json(obj: Any) -> tuple[str, tuple[int, ...]]:
     """Return ("vertex"|"edge", labels) according to the key present."""
     if isinstance(obj, dict) and "labels" in obj:
-        return "vertex", tuple(obj["labels"])
+        return "vertex", _ints(obj["labels"], "labels")
     if isinstance(obj, dict) and "edge_labels" in obj:
-        return "edge", tuple(obj["edge_labels"])
+        return "edge", _ints(obj["edge_labels"], "edge labels")
     raise ValueError('labeling JSON needs "labels" or "edge_labels"')
 
 
@@ -56,7 +79,7 @@ def flip_sequence_from_json(obj: Any) -> tuple[str, list[tuple[int, int]]]:
     if not isinstance(obj, dict) or "flips" not in obj:
         raise ValueError('flip sequence JSON needs "flips"')
     kind = obj.get("kind", "vertex")
-    return kind, [tuple(f) for f in obj["flips"]]
+    return kind, _pairs(obj["flips"], "flips")
 
 
 def instance_to_json(inst: VertexInstance | EdgeInstance | PrivilegedInstance) -> dict:
@@ -95,10 +118,12 @@ def instance_from_json(obj: Any) -> VertexInstance | EdgeInstance | PrivilegedIn
     to_kind, to = labeling_from_json(obj["to"])
     if from_kind != kind or to_kind != kind:
         raise ValueError(f"labeling keys do not match instance kind {kind!r}")
-    if "privileged" in obj:
-        return PrivilegedInstance(g, kind, frm, to, frozenset(obj["privileged"]),
-                                  obj.get("t"))
     t = obj.get("t")
+    if t is not None:
+        t = _int(t, "bound t")
+    if "privileged" in obj:
+        return PrivilegedInstance(g, kind, frm, to,
+                                  frozenset(_ints(obj["privileged"], "privileged labels")), t)
     if t is None:
         raise ValueError('plain instances need an integer "t"')
     cls = VertexInstance if kind == "vertex" else EdgeInstance

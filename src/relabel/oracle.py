@@ -7,6 +7,11 @@ either unrestricted or privileged(S): a flip is legal only if at least
 one of the two swapped labels belongs to S.
 
 Every query reads one breadth-first search, keyed by the labeling tuple.
+The search builds a flip table first: one entry per edge, in edge order,
+whose itemgetter returns the labeling with the edge's two labels swapped
+in one C call.  With a single privileged label (a puzzle's blank) only
+the flips at that label's position can be legal, so the search looks them
+up by position; with more it tests the two swapped labels.
 All searches refuse to start when the space would exceed the capacity
 guard (10! states by default); pass a larger capacity explicitly to
 override.
@@ -16,7 +21,8 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph, line_graph
 from .labeling import identity_labeling, validate_vertex_labeling
@@ -63,25 +69,49 @@ class ConfigurationSpace:
                 f"{self.positions}! = {self.size()} states exceeds capacity {self.capacity}"
             )
 
-    def is_legal(self, state: Sequence[int], u: int, v: int) -> bool:
-        if self.privileged is None:
-            return True
-        return state[u] in self.privileged or state[v] in self.privileged
-
-    def neighbor_flips(self, state: tuple[int, ...]) -> Iterator[
-            tuple[tuple[int, int], tuple[int, ...]]]:
-        for edge in self.base.edges:
-            u, v = edge
-            if self.is_legal(state, u, v):
-                nxt = list(state)
-                nxt[u], nxt[v] = nxt[v], nxt[u]
-                yield edge, tuple(nxt)
-
     def validate_state(self, state: Sequence[int]) -> tuple[int, ...]:
         return validate_vertex_labeling(self.base, state)
 
     def identity_state(self) -> tuple[int, ...]:
         return identity_labeling(self.positions)
+
+
+_Flip = tuple[tuple[int, int], Callable[[tuple[int, ...]], tuple[int, ...]]]
+
+
+def _legal_flips(space: ConfigurationSpace
+                 ) -> Callable[[tuple[int, ...]], list[_Flip]]:
+    """The flip table of space, as a map from a labeling to its legal flips.
+
+    The table has one entry (edge, flip) per edge of space.base.edges, in
+    edge order.  flip is an itemgetter over the positions with the edge's
+    two ends exchanged, so flip(state) is the neighbouring labeling in one
+    C call.  The map returns the entries legal at a labeling, in edge
+    order: all of them when flips are unrestricted; with one privileged
+    label, those incident to its position, from a table indexed by
+    position (on a puzzle space, only the blank's flips); with more, those
+    that swap a privileged label.
+    """
+    n = space.positions
+    table = []
+    for edge in space.base.edges:
+        u, v = edge
+        swap = list(range(n))
+        swap[u], swap[v] = v, u
+        table.append((edge, itemgetter(*swap)))
+    s = space.privileged
+    if s is None:
+        return lambda state: table
+    if len(s) == 1:
+        (label,) = s
+        at: list[list[_Flip]] = [[] for _ in range(n)]
+        for entry in table:
+            u, v = entry[0]
+            at[u].append(entry)
+            at[v].append(entry)
+        return lambda state: at[state.index(label)]
+    return lambda state: [entry for entry in table
+                          if state[entry[0][0]] in s or state[entry[0][1]] in s]
 
 
 def _search(space: ConfigurationSpace, src: tuple[int, ...],
@@ -95,13 +125,15 @@ def _search(space: ConfigurationSpace, src: tuple[int, ...],
     stops the moment dst is found, so dst, when reached, sits at depth
     len(sizes) - 1.
     """
+    legal = _legal_flips(space)
     reached: dict[tuple[int, ...], tuple[int, int] | None] = {src: None}
     sizes = [1]
     level = [src]
     while level and dst not in reached:
         found = []
         for state in level:
-            for edge, nxt in space.neighbor_flips(state):
+            for edge, flip in legal(state):
+                nxt = flip(state)
                 if nxt not in reached:
                     reached[nxt] = edge
                     found.append(nxt)
@@ -179,7 +211,7 @@ def reachable_in_exactly(space: ConfigurationSpace, frm: Sequence[int],
     d = len(sizes) - 1
     if t < d or (t - d) % 2:
         return False
-    return t == d or d > 0 or next(space.neighbor_flips(src), None) is not None
+    return t == d or d > 0 or bool(_legal_flips(space)(src))
 
 
 class ComponentSummary(NamedTuple):

@@ -316,11 +316,12 @@ def privileged_transform(inst: PrivilegedInstance,
     through a gate next to one of them; other non-paths compose
     tree_swap_sequence transpositions on a non-path spanning tree.  Paths
     are outside the constructive theory and fall back to the restricted
-    BFS oracle.  Raises UnsolvableError when no sequence exists.  Length
-    is not minimized.
+    BFS oracle.  Edge instances are solved on the line graph, where the
+    flips are edge flips.  Raises UnsolvableError when no sequence exists.
+    Length is not minimized.
     """
-    if inst.kind != "vertex":
-        raise ValueError("vertex instances only; map edge instances through the line graph")
+    if inst.kind == "edge":
+        inst = _line_graph_instance(inst)
     g = inst.graph
     if not is_connected(g):
         raise ValueError("graph is not connected")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -226,3 +227,57 @@ def test_byte_identical_output(capsys, p4_files):
     main(["distance", "--graph", graph, "--from", rev, "--to", ident])
     second = capsys.readouterr().out
     assert first == second
+
+
+def assert_input_error(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_gen_size_guard(capsys):
+    # a grid of side 10^8 is refused before a single vertex is built
+    tracemalloc.start()
+    try:
+        assert_input_error(capsys, "gen", "--family", "grid", "--n", "100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert_input_error(capsys, "gen", "--family", "complete", "--n", "5000")
+
+
+@pytest.fixture
+def p3_files(tmp_path):
+    graph = write(tmp_path, "p3.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
+    ident = write(tmp_path, "id3.json", {"labels": [0, 1, 2]})
+    return tmp_path, graph, ident
+
+
+def test_string_vertex_count_exits_2(capsys, p3_files):
+    tmp_path, _, ident = p3_files
+    graph = write(tmp_path, "n_string.json", {"n": "3", "edges": [[0, 1], [1, 2]]})
+    assert_input_error(capsys, "distance", "--graph", graph, "--from", ident, "--to", ident)
+
+
+def test_short_labeling_exits_2(capsys, p3_files):
+    tmp_path, graph, ident = p3_files
+    short = write(tmp_path, "short.json", {"labels": [0, 1]})
+    assert_input_error(capsys, "distance", "--graph", graph, "--from", short, "--to", ident)
+
+
+def test_float_label_exits_2(capsys, p3_files):
+    tmp_path, graph, ident = p3_files
+    for labels in ([0, 1.0, 2], [0, True, 2]):
+        bad = write(tmp_path, "bad.json", {"labels": labels})
+        assert_input_error(capsys, "distance", "--graph", graph, "--from", bad, "--to", ident)
+
+
+def test_non_integer_instance_fields_exit_2(capsys, tmp_path):
+    inst = {"kind": "vertex", "graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
+            "from": {"labels": [0, 1, 2]}, "to": {"labels": [2, 1, 0]}}
+    bound = write(tmp_path, "t.json", dict(inst, t="2"))
+    assert_input_error(capsys, "reduce", "--direction", "v2e", "--instance", bound)
+    priv = write(tmp_path, "priv.json", dict(inst, privileged=[1.5], t=None))
+    assert_input_error(capsys, "solvable", "--instance", priv)

@@ -187,3 +187,60 @@ def test_symmetry_of_distance():
         a = tuple(rng.sample(range(5), 5))
         b = tuple(rng.sample(range(5), 5))
         assert bfs_distance(space, a, b) == bfs_distance(space, b, a)
+
+
+def reference_search(space, src):
+    # plain BFS: every edge in edge order, the neighbour built by list/swap/tuple
+    s = space.privileged
+    parent = {src: None}
+    sizes = [1]
+    level = [src]
+    while level:
+        found = []
+        for state in level:
+            for edge in space.base.edges:
+                u, v = edge
+                if s is None or state[u] in s or state[v] in s:
+                    nxt = list(state)
+                    nxt[u], nxt[v] = nxt[v], nxt[u]
+                    nxt = tuple(nxt)
+                    if nxt not in parent:
+                        parent[nxt] = edge
+                        found.append(nxt)
+        if found:
+            sizes.append(len(found))
+        level = found
+    return parent, sizes
+
+
+def test_search_matches_reference_bfs():
+    # discovery order, depths, level sizes and the stored flips, which must be
+    # the edge tuples of space.base.edges themselves
+    c5 = make_family("cycle", 5)
+    spaces = [ConfigurationSpace(Graph(1, [])), ConfigurationSpace(make_family("path", 2)),
+              ConfigurationSpace(make_family("path", 5)), ConfigurationSpace(c5),
+              ConfigurationSpace(make_family("star", 5)),
+              ConfigurationSpace(make_family("path", 6), mode="edge"),
+              ConfigurationSpace(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4),
+                                           (2, 5)]), privileged=[5]),
+              ConfigurationSpace(c5, privileged=[3, 4])]
+    rng = random.Random(5)
+    for space in spaces:
+        n = space.positions
+        for src in (identity_labeling(n), tuple(rng.sample(range(n), n))):
+            parent, sizes = reference_search(space, src)
+            depth = {}
+            for state, edge in parent.items():
+                before = state if edge is None else apply_vertex_flip(space.base, state, edge)
+                depth[state] = 0 if edge is None else depth[before] + 1
+            assert list(distance_map(space, src).items()) == list(depth.items())
+            assert distance_distribution(space, src) == dict(enumerate(sizes))
+            for dst in parent:
+                want = []
+                state = dst
+                while parent[state] is not None:
+                    want.append(parent[state])
+                    state = apply_vertex_flip(space.base, state, parent[state])
+                got = shortest_flip_sequence(space, src, dst)
+                assert got == want[::-1]
+                assert all(any(f is e for e in space.base.edges) for f in got)

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from relabel.graph import Graph, make_family, tree_path
-from relabel.labeling import apply_vertex_flip, identity_labeling
+from relabel.graph import Graph, line_graph, make_family, tree_path
+from relabel.labeling import apply_edge_sequence, apply_vertex_flip, identity_labeling
 from relabel.oracle import ConfigurationSpace, component, distance_map
 from relabel.privileged import (
     PrivilegedInstance,
@@ -263,8 +263,21 @@ def test_edge_privileged_solvable():
     answer, method, witness = resolve_solvable(inst, want_witness=True)
     assert answer == "yes"
     # the witness is a sequence of edge-index pairs sharing endpoints
-    from relabel.labeling import apply_edge_sequence
     assert apply_edge_sequence(s5, frm := inst.from_labels, witness) == inst.to_labels
+
+
+def test_privileged_transform_edge_instances():
+    # the line graphs are K_4 (theorem), C_5 (cycle moves) and P_4 (oracle)
+    cases = [(make_family("star", 5), (3, 2, 1, 0), (0, 1, 2, 3), {2, 3}, "theorem"),
+             (make_family("cycle", 5), (4, 0, 3, 1, 2), (0, 1, 2, 3, 4), {2, 3, 4}, "theorem"),
+             (make_family("path", 5), (0, 2, 1, 3), (2, 1, 0, 3), {1, 2}, "oracle")]
+    for g, frm, to, priv, method in cases:
+        inst = PrivilegedInstance(g, "edge", frm, to, frozenset(priv))
+        flips = privileged_transform(inst)
+        lg = PrivilegedInstance(line_graph(g), "vertex", frm, to, frozenset(priv))
+        assert flips and replay(lg, flips) == to
+        assert apply_edge_sequence(g, frm, flips) == to
+        assert resolve_solvable(inst, want_witness=True) == ("yes", method, flips)
 
 
 def test_puzzle_instance():
