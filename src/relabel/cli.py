@@ -17,6 +17,7 @@ from .exact_path import path_distance
 from .exact_star import star_distance
 from .graph import Graph, is_connected, is_path, is_tree, make_family, path_vertex_order
 from .jsonio import (
+    board_from_json,
     flip_sequence_to_json,
     graph_from_json,
     graph_to_json,
@@ -74,11 +75,12 @@ def _load_vertex_labels(path: str, g: Graph) -> tuple[int, ...]:
     return validate_vertex_labeling(g, labels)
 
 
-def _load_board(source: str) -> Any:
+def _load_board(source: str) -> tuple[int, ...]:
     try:
-        return _load_json(source)
+        obj = _load_json(source)
     except OSError:
-        return json.loads(source)
+        obj = json.loads(source)
+    return board_from_json(obj)
 
 
 def _capacity(args: argparse.Namespace) -> int:
@@ -200,8 +202,11 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, int]:
         return {"distribution": {str(k): v for k, v in hist.items()}}, 0
     if not (args.source and args.target):
         raise ValueError("oracle needs --from and --to, or --diameter/--distribution")
-    kind, frm = labeling_from_json(_load_json(args.source))
-    _, to = labeling_from_json(_load_json(args.target))
+    from_kind, frm = labeling_from_json(_load_json(args.source))
+    to_kind, to = labeling_from_json(_load_json(args.target))
+    if from_kind != args.mode or to_kind != args.mode:
+        raise ValueError(f"--from and --to must both be {args.mode} labelings "
+                         f"in --mode {args.mode}; got {from_kind} and {to_kind}")
     d = bfs_distance(space, frm, to)
     out: dict[str, Any] = {"distance": d}
     if args.t is not None:

@@ -3,14 +3,15 @@
 Graph:          {"n": int, "edges": [[u, v], ...]}        (0-based, u < v)
 Vertex labels:  {"labels": [...]}
 Edge labels:    {"edge_labels": [...]}
+Puzzle board:   [...] or [[...], ...]                      (row-major)
 Flip sequence:  {"flips": [[u, v], ...]}                   (vertex flips)
                 {"flips": [[e1, e2], ...], "kind": "edge"} (edge flips)
 Instance:       {"kind": "vertex"|"edge", "graph": ..., "from": ..., "to": ..., "t": int}
                 plus "privileged": [...] for privileged instances (t may be null).
 
 The decoders accept only JSON integers (not booleans) for vertex counts,
-edge endpoints, labels, flips, privileged labels and bounds, and raise
-ValueError for anything else.
+edge endpoints, labels, board cells, flips, privileged labels and bounds,
+and raise ValueError for anything else.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ def labeling_from_json(obj: Any) -> tuple[str, tuple[int, ...]]:
     if isinstance(obj, dict) and "edge_labels" in obj:
         return "edge", _ints(obj["edge_labels"], "edge labels")
     raise ValueError('labeling JSON needs "labels" or "edge_labels"')
+
+
+def board_from_json(obj: Any) -> tuple[int, ...]:
+    """A puzzle board, row-major: a list of integers or a list of rows of them."""
+    if isinstance(obj, list) and obj and isinstance(obj[0], list):
+        return tuple(x for row in obj for x in _ints(row, "board row"))
+    return _ints(obj, "board")
 
 
 def flip_sequence_to_json(flips: Sequence[Sequence[int]], kind: str = "vertex") -> dict:

@@ -2,63 +2,61 @@
 
 The constructive transformation routes labels home one vertex at a time
 along a spanning tree, in leaf elimination order, never touching vertices
-already completed; it uses at most n(n-1)/2 flips.  The exact minimum for
-small graphs comes from the BFS oracle.
+already completed; it uses at most n(n-1)/2 flips.  Placing the labels
+takes O(n + flips) time and O(n) memory, on top of building the BFS
+spanning tree, O(n + m), and its leaf order, O(n log n).  The exact
+minimum for small graphs comes from the BFS oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, Sequence
 
 from .graph import Graph, prufer_elimination_order, spanning_tree
 from .labeling import relative_permutation, validate_vertex_labeling
 from .oracle import CAPACITY_LIMIT, ConfigurationSpace, bfs_distance, diameter
-from .perm import parity
-
-
-def _residual_path(adj: dict[int, set[int]], u: int, v: int) -> list[int]:
-    # unique u-v path in the residual tree
-    if u == v:
-        return [u]
-    parent = {u: u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+from .perm import inverse, parity
 
 
 def _transform_steps(g: Graph, labels: Sequence[int], target: Sequence[int]
                      ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Yield (vertex, flips) per placement iteration; shared by the public API."""
+    """Yield (vertex, flips) per placement iteration; shared by the public API.
+
+    Every residual tree holds the last vertex of the elimination order, so
+    rooted there, a vertex's parent is its one neighbor eliminated later,
+    and a holder-to-v path is found by climbing from whichever end is
+    eliminated first until the two ends meet.
+    """
     frm = validate_vertex_labeling(g, labels)
     to = validate_vertex_labeling(g, target)
     tree = spanning_tree(g)
     order = prufer_elimination_order(tree)
-    adj = {v: set(tree.adjacency[v]) for v in range(tree.n)}
+    rank = inverse(order)
+    # the root's entry is never read: no climb passes the last-eliminated vertex
+    parent = [max(tree.adjacency[x], key=rank.__getitem__, default=x)
+              for x in range(tree.n)]
     cur = list(frm)
+    where = list(inverse(frm))
     for v in order[:-1]:
         flips: list[tuple[int, int]] = []
-        holder = cur.index(to[v])
+        holder = where[to[v]]
         if holder != v:
-            path = _residual_path(adj, holder, v)
+            a, b = holder, v
+            up, down = [a], [b]
+            while a != b:
+                if rank[a] < rank[b]:
+                    a = parent[a]
+                    up.append(a)
+                else:
+                    b = parent[b]
+                    down.append(b)
+            path = up + down[-2::-1]
             for a, b in zip(path, path[1:]):
-                flips.append((min(a, b), max(a, b)))
-                cur[a], cur[b] = cur[b], cur[a]
+                flips.append((a, b) if a < b else (b, a))
+                la, lb = cur[a], cur[b]
+                cur[a], cur[b] = lb, la
+                where[la], where[lb] = b, a
         yield v, flips
-        for w in adj[v]:
-            adj[w].discard(v)
-        del adj[v]
     assert cur == list(to)
 
 

@@ -281,3 +281,26 @@ def test_non_integer_instance_fields_exit_2(capsys, tmp_path):
     assert_input_error(capsys, "reduce", "--direction", "v2e", "--instance", bound)
     priv = write(tmp_path, "priv.json", dict(inst, privileged=[1.5], t=None))
     assert_input_error(capsys, "solvable", "--instance", priv)
+
+
+def test_oracle_labeling_kind_must_match_mode(capsys, tmp_path):
+    graph = write(tmp_path, "k3.json", graph_to_json(make_family("complete", 3)))
+    edge = write(tmp_path, "e.json", {"edge_labels": [2, 1, 0]})
+    vertex = write(tmp_path, "v.json", {"labels": [0, 1, 2]})
+    edge_ident = write(tmp_path, "e_id.json", {"edge_labels": [0, 1, 2]})
+    for mode, frm, to in (("vertex", edge, vertex), ("vertex", edge, edge_ident),
+                          ("edge", vertex, vertex), ("edge", edge, vertex)):
+        assert_input_error(capsys, "oracle", "--graph", graph, "--mode", mode,
+                           "--from", frm, "--to", to)
+    code, out = run(capsys, "oracle", "--graph", graph, "--mode", "edge",
+                    "--from", edge, "--to", edge_ident)
+    assert code == 0 and out == {"distance": 1}
+
+
+def test_puzzle_non_integer_cells_exit_2(capsys):
+    for b1 in ("[[0,1.0],[2,3]]", "[0,true,2,3]", "[[0,1],2,3]", '"0123"'):
+        assert_input_error(capsys, "puzzle", "--side", "2", "--b1", b1,
+                           "--b2", "[0,1,2,3]", "--k", "2")
+    code, out = run(capsys, "puzzle", "--side", "2", "--b1", "[[0,1],[2,3]]",
+                    "--b2", "[0,1,2,3]", "--k", "2")
+    assert code == 0 and out["from"] == {"labels": [0, 1, 2, 3]}

@@ -1,13 +1,15 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
-from relabel.graph import make_family
+from relabel.graph import make_family, prufer_elimination_order, spanning_tree
 from relabel.labeling import (
     apply_vertex_sequence,
     identity_labeling,
     relative_permutation,
+    validate_vertex_labeling,
 )
 from relabel.oracle import ConfigurationSpace, bfs_distance, distance_map, reachable_in_exactly
 from relabel.perm import parity
@@ -50,6 +52,71 @@ def test_per_iteration_flip_budget():
         b = tuple(rng.sample(range(n), n))
         for k, (v, flips) in enumerate(_transform_steps(g, a, b)):
             assert len(flips) <= n - 1 - k
+
+
+def _residual_bfs_steps(g, labels, target):
+    # reference: a fresh BFS over the residual tree for every placed label
+    frm = validate_vertex_labeling(g, labels)
+    to = validate_vertex_labeling(g, target)
+    tree = spanning_tree(g)
+    order = prufer_elimination_order(tree)
+    adj = {v: set(tree.adjacency[v]) for v in range(tree.n)}
+    cur = list(frm)
+    steps = []
+    for v in order[:-1]:
+        flips = []
+        holder = cur.index(to[v])
+        if holder != v:
+            parent = {holder: holder}
+            queue = deque([holder])
+            while queue:
+                x = queue.popleft()
+                if x == v:
+                    break
+                for y in adj[x]:
+                    if y not in parent:
+                        parent[y] = x
+                        queue.append(y)
+            path = [v]
+            while path[-1] != holder:
+                path.append(parent[path[-1]])
+            path.reverse()
+            for a, b in zip(path, path[1:]):
+                flips.append((min(a, b), max(a, b)))
+                cur[a], cur[b] = cur[b], cur[a]
+        steps.append((v, flips))
+        for w in adj[v]:
+            adj[w].discard(v)
+        del adj[v]
+    assert cur == list(to)
+    return steps
+
+
+def test_transform_steps_match_residual_bfs_reference():
+    rng = random.Random(53)
+    graphs = [make_family("random_connected", 1 + seed % 60, seed=seed)
+              for seed in range(240)]
+    graphs += [make_family("path", 12), make_family("star", 12),
+               make_family("cycle", 12), make_family("grid", 5),
+               make_family("complete", 8)]
+    for g in graphs:
+        ident = identity_labeling(g.n)
+        reversal = tuple(reversed(ident))
+        pairs = [(ident, ident), (reversal, ident), (ident, reversal),
+                 (tuple(rng.sample(range(g.n), g.n)), tuple(rng.sample(range(g.n), g.n)))]
+        tree_edges = set(spanning_tree(g).edges)
+        for a, b in pairs:
+            steps = list(_transform_steps(g, a, b))
+            assert steps == _residual_bfs_steps(g, a, b)
+            cur = list(a)
+            for v, flips in steps:
+                # the label bound for v walks along tree edges and stops at v
+                at = cur.index(b[v])
+                for x, y in flips:
+                    assert (x, y) in tree_edges and at in (x, y)
+                    at = y if at == x else x
+                    cur[x], cur[y] = cur[y], cur[x]
+                assert at == v and cur[v] == b[v]
 
 
 def test_upper_bound_values():
