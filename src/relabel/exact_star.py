@@ -12,21 +12,42 @@ permutation pi is the parameter q:
 where pi0 is pi normalized to fix 0.  Exactly t flips work iff t >= q
 and t has the same parity as q, except that q = 0 < t needs a leaf to
 flip with.
+
+Distance and sequence both take O(n): q comes from one walk over the
+cycles, and each call validates the two labelings once, in O(n) with one
+C-level pass per check.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .labeling import relative_permutation
-from .perm import cycle_decomposition, pi_zero, validated
+from .labeling import exact_t_rule, relative_permutation
+from .perm import validated
 
 
-def _q(p: tuple[int, ...]) -> int:
-    if p and p[0] != 0:
-        return _q(pi_zero(p)) + (1 if p[p[0]] == 0 else -1)
-    cycles = cycle_decomposition(p)
-    return sum(len(c) for c in cycles) + len(cycles)
+def _q(p: Sequence[int]) -> int:
+    """q of a permutation: fix the center up in place, then walk the cycles once."""
+    p = list(p)
+    n = len(p)
+    shift = 0
+    if n and p[0] != 0:
+        # compose with the transposition (0, j), p(j) = 0, as pi_zero does
+        j = p.index(0)
+        shift = 1 if j == p[0] else -1
+        p[0], p[j] = 0, p[0]
+    seen = bytearray(n)
+    moved = cycles = 0
+    for start in range(1, n):
+        if seen[start] or p[start] == start:
+            continue
+        cycles += 1
+        v = start
+        while not seen[v]:
+            seen[v] = 1
+            moved += 1
+            v = p[v]
+    return moved + cycles + shift
 
 
 def star_q(labels: Sequence[int]) -> int:
@@ -36,7 +57,7 @@ def star_q(labels: Sequence[int]) -> int:
 
 def star_distance(labels: Sequence[int], target: Sequence[int]) -> int:
     """Minimum number of flips turning one star labeling into another."""
-    return _q(relative_permutation(validated(labels), validated(target)))
+    return _q(relative_permutation(labels, target))
 
 
 def star_flip_sequence(labels: Sequence[int],
@@ -50,7 +71,7 @@ def star_flip_sequence(labels: Sequence[int],
     touches a leaf that holds its own label, so the search for the lowest
     wrong leaf resumes where it last stopped and the whole run is O(n).
     """
-    rel = list(relative_permutation(validated(labels), validated(target)))
+    rel = list(relative_permutation(labels, target))
     n = len(rel)
     flips: list[tuple[int, int]] = []
     low = 1  # every leaf below low holds its own label
@@ -70,11 +91,7 @@ def star_flip_sequence(labels: Sequence[int],
 
 def star_exact_t_feasible(labels: Sequence[int], target: Sequence[int], t: int) -> bool:
     """True iff the transformation is doable in exactly t flips."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    q = star_distance(labels, target)
-    # padding q = 0 up to t > 0 needs a leaf to flip with
-    return t >= q and (t - q) % 2 == 0 and (t == q or len(labels) > 1)
+    return exact_t_rule(star_distance(labels, target), t, len(labels) > 1)
 
 
 def star_max_distance(n: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .graph import Graph
-from .perm import compose, inverse, is_permutation
+from .perm import compose, inverse, is_permutation, validated
 
 VertexFlip = "tuple[int, int]"   # an edge {u, v} of the instance graph
 EdgeFlip = "tuple[int, int]"     # two edge indices sharing an endpoint
@@ -93,7 +93,28 @@ def relative_permutation(labels: Sequence[int], target: Sequence[int]) -> tuple[
     Renaming labels commutes with flips, so the pair (labels, target) and
     the pair (result, identity) are the same instance of any relabeling
     problem.  Recomposition: compose(target, result) == labels.
+
+    Each labeling is validated once, in O(n) C-level passes: a labeling
+    that is not a permutation of 0..n-1 raises ValueError, then so does a
+    size mismatch.  The target is inverted in one loop and composed with
+    one itemgetter call.
     """
-    if len(labels) != len(target):
-        raise ValueError(f"size mismatch: {len(labels)} vs {len(target)}")
-    return compose(inverse(tuple(target)), tuple(labels))
+    a = validated(labels)
+    b = validated(target)
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
+    return compose(inverse(b), a)
+
+
+def exact_t_rule(d: int | None, t: int, can_pad: bool) -> bool:
+    """True iff exactly t flips join two labelings d flips apart.
+
+    d is None when no walk joins them.  Otherwise that holds iff t >= d,
+    t = d (mod 2), and, when d = 0 < t, some flip is legal (can_pad).
+    Every flip transposes two labels and so changes the labeling's sign,
+    so every walk between the two has the parity of d; a flip and its undo
+    swap the same two labels, so a shortest walk pads two flips at a time.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return d is not None and t >= d and (t - d) % 2 == 0 and (t == d or d > 0 or can_pad)

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph, line_graph
-from .labeling import identity_labeling, validate_vertex_labeling
+from .labeling import exact_t_rule, identity_labeling, validate_vertex_labeling
 
 CAPACITY_LIMIT = math.factorial(10)
 
@@ -195,23 +195,14 @@ def reachable_in_exactly(space: ConfigurationSpace, frm: Sequence[int],
     """True iff some walk of exactly t legal flips joins frm and to.
 
     With d the distance, that holds iff t >= d, t = d (mod 2), and, when
-    d = 0 < t, some flip is legal at frm.  Every flip transposes two labels and so
-    changes the labeling's sign: the space is bipartite and every walk from
-    frm to to has the parity of d.  A flip and its undo swap the same two
-    labels, so both are legal and a shortest walk pads two flips at a time.
+    d = 0 < t, some flip is legal at frm (labeling.exact_t_rule).
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     space.check_capacity()
     src = space.validate_state(frm)
     dst = space.validate_state(to)
     reached, sizes = _search(space, src, dst)
-    if dst not in reached:
-        return False
-    d = len(sizes) - 1
-    if t < d or (t - d) % 2:
-        return False
-    return t == d or d > 0 or bool(_legal_flips(space)(src))
+    d = len(sizes) - 1 if dst in reached else None
+    return exact_t_rule(d, t, bool(_legal_flips(space)(src)))
 
 
 class ComponentSummary(NamedTuple):

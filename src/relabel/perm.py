@@ -7,6 +7,7 @@ tuples.  Everything here is 0-based.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 Perm = "tuple[int, ...]"
@@ -17,14 +18,22 @@ def identity(n: int) -> tuple[int, ...]:
 
 
 def is_permutation(p: Sequence[int]) -> bool:
-    """True iff p is a bijection on {0, ..., len(p)-1}.
+    """True iff p is a bijection on {0, ..., len(p)-1} whose entries are ints.
+
+    Each entry's type must be exactly int, so 1.0 and True are rejected.
+    O(n): a type set, a set of the entries and their minimum and maximum,
+    each one C-level pass.
 
     >>> is_permutation([2, 0, 1])
     True
     >>> is_permutation([0, 0, 2])
     False
+    >>> is_permutation([0, True, 2])
+    False
     """
-    return sorted(p) == list(range(len(p)))
+    n = len(p)
+    return (set(map(type, p)) <= {int} and len(set(p)) == n
+            and (n == 0 or (min(p) == 0 and max(p) == n - 1)))
 
 
 def validated(p: Sequence[int]) -> tuple[int, ...]:
@@ -46,7 +55,9 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Return p after q, i.e. (p o q)(i) = p(q(i))."""
     if len(p) != len(q):
         raise ValueError(f"size mismatch: {len(p)} vs {len(q)}")
-    return tuple(p[v] for v in q)
+    if len(q) < 2:  # itemgetter takes at least one index and unwraps a single one
+        return tuple(p[v] for v in q)
+    return itemgetter(*q)(p)
 
 
 def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -107,37 +118,44 @@ def cycle_count(p: Sequence[int]) -> int:
     return len(cycle_decomposition(p))
 
 
+def inversion_table(p: Sequence[int]) -> list[int]:
+    """c[v] = the number of labels smaller than v that lie to the right of v.
+
+    p must be a permutation of {0, ..., n-1}.  One right-to-left pass over
+    p with a Fenwick tree over values counts, for each v, the smaller
+    values already passed, in O(n log n) time and O(n) memory.
+
+    >>> inversion_table([2, 0, 1])
+    [0, 0, 2]
+    """
+    n = len(p)
+    tree = [0] * (n + 1)  # tree[i] counts the passed values in [i - lowbit(i), i)
+    c = [0] * n
+    for v in reversed(p):
+        smaller = 0
+        i = v
+        while i:
+            smaller += tree[i]
+            i &= i - 1
+        c[v] = smaller
+        i = v + 1
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+    return c
+
+
 def inversions(p: Sequence[int]) -> int:
-    """Number of pairs i < j with p[i] > p[j], counted by merge sort.
+    """Number of pairs i < j with p[i] > p[j], for a permutation p.
+
+    The sum of the inversion table, in O(n log n).
 
     >>> inversions([2, 0, 1])
     2
     >>> inversions([3, 2, 1, 0])
     6
     """
-
-    def count(seq: list[int]) -> tuple[list[int], int]:
-        if len(seq) <= 1:
-            return seq, 0
-        mid = len(seq) // 2
-        left, a = count(seq[:mid])
-        right, b = count(seq[mid:])
-        merged = []
-        inv = a + b
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-                inv += len(left) - i
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, inv
-
-    return count(list(p))[1]
+    return sum(inversion_table(p))
 
 
 def parity(p: Sequence[int]) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .graph import Graph, prufer_elimination_order, spanning_tree
-from .labeling import relative_permutation, validate_vertex_labeling
+from .labeling import exact_t_rule, relative_permutation, validate_vertex_labeling
 from .oracle import CAPACITY_LIMIT, ConfigurationSpace, bfs_distance, diameter
 from .perm import inverse, parity
 
@@ -96,11 +96,9 @@ def exact_t_feasible(g: Graph, labels: Sequence[int], target: Sequence[int],
     parity, and a distance of 0 < t finds an edge to flip; the distance
     parity equals the relative permutation's parity.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     d = p_g(g, labels, target, capacity=capacity)
     assert d % 2 == parity(relative_permutation(labels, target))
-    return t >= d and (t - d) % 2 == 0 and (t == d or g.m > 0)
+    return exact_t_rule(d, t, g.m > 0)
 
 
 def p_g_diameter(g: Graph, capacity: int = CAPACITY_LIMIT) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -12,7 +13,66 @@ from relabel.exact_path import (
 from relabel.graph import make_family
 from relabel.labeling import apply_vertex_sequence, identity_labeling
 from relabel.oracle import ConfigurationSpace, bfs_distance, distance_map
-from relabel.perm import inversions
+from relabel.perm import inversion_table, inversions
+
+
+def reference_relative(labels, target):
+    pos = {label: i for i, label in enumerate(target)}
+    return [pos[label] for label in labels]
+
+
+def reference_inversions(p):
+    # the recursive merge sort that counted inversions before the Fenwick table
+    def count(seq):
+        if len(seq) <= 1:
+            return seq, 0
+        mid = len(seq) // 2
+        left, a = count(seq[:mid])
+        right, b = count(seq[mid:])
+        merged = []
+        inv = a + b
+        i = j = 0
+        while i < len(left) and j < len(right):
+            if left[i] <= right[j]:
+                merged.append(left[i])
+                i += 1
+            else:
+                merged.append(right[j])
+                j += 1
+                inv += len(left) - i
+        merged.extend(left[i:])
+        merged.extend(right[j:])
+        return merged, inv
+
+    return count(list(p))[1]
+
+
+def reference_flip_sequence(labels, target):
+    # the index-and-swap loop that synthesized sequences before the table
+    rel = reference_relative(labels, target)
+    flips = []
+    for v in range(len(rel) - 1, 0, -1):
+        i = rel.index(v)
+        for k in range(i, v):
+            flips.append((k, k + 1))
+            rel[k], rel[k + 1] = rel[k + 1], rel[k]
+    return flips
+
+
+def reference_pairs():
+    """Every labeling against the identity for n <= 7, 300 seeded random
+    pairs with n <= 300, and the reversal both ways."""
+    for n in range(8):
+        ident = identity_labeling(n)
+        for lab in itertools.permutations(range(n)):
+            yield lab, ident
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 300)
+        yield tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))
+    n = 300
+    yield tuple(range(n - 1, -1, -1)), identity_labeling(n)
+    yield identity_labeling(n), tuple(range(n - 1, -1, -1))
 
 
 def test_distance_examples():
@@ -122,3 +182,49 @@ def test_feasibility_matches_oracle_walks():
             for t in range(7):
                 assert path_exact_t_feasible(lab, ident, t) == \
                     reachable_in_exactly(space, lab, ident, t)
+
+
+def test_matches_the_merge_sort_and_swap_loop_references():
+    for a, b in reference_pairs():
+        flips = path_flip_sequence(a, b)
+        assert flips == reference_flip_sequence(a, b)
+        assert path_distance(a, b) == reference_inversions(reference_relative(a, b)) == len(flips)
+
+
+def test_inversion_table_counts_smaller_labels_to_the_right():
+    rng = random.Random(5)
+    perms = [p for n in range(7) for p in itertools.permutations(range(n))]
+    perms += [rng.sample(range(n), n) for n in (50, 257, 1000)]
+    for p in perms:
+        pos = {v: i for i, v in enumerate(p)}
+        want = [sum(1 for u in p[pos[v] + 1:] if u < v) for v in range(len(p))]
+        assert inversion_table(p) == want
+        assert inversions(p) == reference_inversions(p)
+
+
+def test_one_adjacent_swap_is_not_quadratic():
+    n = 200_000
+    labels = list(range(n))
+    labels[n // 2], labels[n // 2 + 1] = labels[n // 2 + 1], labels[n // 2]
+    start = time.perf_counter()
+    flips = path_flip_sequence(labels, range(n))
+    elapsed = time.perf_counter() - start
+    assert flips == [(n // 2, n // 2 + 1)]
+    # scanning for each label's position would take minutes here
+    assert elapsed < 5, f"{elapsed:.1f} s for one flip"
+
+
+@pytest.mark.parametrize("bad", [[0, 1.0, 2], [0, True, 2], [0, 0, 2], [1, 2, 3]])
+def test_non_permutations_raise_value_error(bad):
+    ident = identity_labeling(3)
+    for fn in (path_distance, path_flip_sequence):
+        with pytest.raises(ValueError, match="not a permutation"):
+            fn(bad, ident)
+        with pytest.raises(ValueError, match="not a permutation"):
+            fn(ident, bad)
+
+
+def test_unequal_lengths_raise_value_error():
+    for fn in (path_distance, path_flip_sequence):
+        with pytest.raises(ValueError, match="size mismatch"):
+            fn((0, 1), (0, 1, 2))

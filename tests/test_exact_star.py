@@ -13,6 +13,24 @@ from relabel.exact_star import (
 from relabel.graph import make_family
 from relabel.labeling import apply_vertex_flip, apply_vertex_sequence, identity_labeling
 from relabel.oracle import ConfigurationSpace, distance_distribution, distance_map
+from relabel.perm import cycle_decomposition, pi_zero
+
+
+def reference_q(p):
+    # q over pi_zero and cycle_decomposition, as computed before the one-pass walk
+    if p and p[0] != 0:
+        return reference_q(pi_zero(p)) + (1 if p[p[0]] == 0 else -1)
+    cycles = cycle_decomposition(p)
+    return sum(len(c) for c in cycles) + len(cycles)
+
+
+def star_adversary(rng, n):
+    """Half the leaves fixed, the rest swapped in pairs."""
+    moved = rng.sample(range(1, n), (n - 1) // 4 * 2)
+    rel = list(range(n))
+    for u, v in zip(moved[::2], moved[1::2]):
+        rel[u], rel[v] = v, u
+    return tuple(rel)
 
 
 def test_q_examples():
@@ -135,3 +153,42 @@ def test_diameter_and_distribution():
     for lab in itertools.permutations(range(4)):
         direct[star_q(lab)] = direct.get(star_q(lab), 0) + 1
     assert hist == direct
+
+
+def test_q_matches_the_pi_zero_and_cycle_reference():
+    pairs = [(lab, identity_labeling(n))
+             for n in range(1, 8) for lab in itertools.permutations(range(n))]
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(1, 300)
+        pairs.append((tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))))
+    for n in (2, 3, 301, 2001):
+        pairs.append((tuple(range(n - 1, -1, -1)), identity_labeling(n)))
+        target = tuple(rng.sample(range(n), n))
+        # labels whose relative permutation to target is the adversary
+        pairs.append((tuple(target[v] for v in star_adversary(rng, n)), target))
+    for a, b in pairs:
+        pos = {label: i for i, label in enumerate(b)}
+        want = reference_q(tuple(pos[label] for label in a))
+        assert star_distance(a, b) == want
+        if b == identity_labeling(len(b)):
+            assert star_q(a) == want
+        assert len(star_flip_sequence(a, b)) == want
+
+
+@pytest.mark.parametrize("bad", [[0, 1.0, 2], [0, True, 2], [0, 0, 2], [1, 2, 3]])
+def test_non_permutations_raise_value_error(bad):
+    ident = identity_labeling(3)
+    with pytest.raises(ValueError, match="not a permutation"):
+        star_q(bad)
+    for fn in (star_distance, star_flip_sequence):
+        with pytest.raises(ValueError, match="not a permutation"):
+            fn(bad, ident)
+        with pytest.raises(ValueError, match="not a permutation"):
+            fn(ident, bad)
+
+
+def test_unequal_lengths_raise_value_error():
+    for fn in (star_distance, star_flip_sequence):
+        with pytest.raises(ValueError, match="size mismatch"):
+            fn((0, 1), (0, 1, 2))

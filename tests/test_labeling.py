@@ -9,6 +9,7 @@ from relabel.labeling import (
     apply_edge_sequence,
     apply_vertex_flip,
     apply_vertex_sequence,
+    exact_t_rule,
     identity_labeling,
     relative_permutation,
     validate_vertex_labeling,
@@ -95,3 +96,27 @@ def test_validation():
     with pytest.raises(ValueError):
         validate_vertex_labeling(p3, [0, 0, 2])
     assert identity_labeling(3) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("bad", [[0, 1.0, 2], [0, True, 2], [0, "1", 2]])
+def test_non_integer_labels_raise_value_error(bad):
+    p3 = make_family("path", 3)
+    with pytest.raises(ValueError, match="not a vertex labeling"):
+        validate_vertex_labeling(p3, bad)
+    with pytest.raises(ValueError, match="not a permutation"):
+        relative_permutation(bad, (0, 1, 2))
+    with pytest.raises(ValueError, match="not a permutation"):
+        relative_permutation((0, 1, 2), bad)
+    assert not is_permutation(bad)
+
+
+def test_exact_t_rule():
+    assert exact_t_rule(0, 0, False)
+    assert not exact_t_rule(0, 2, False)
+    assert exact_t_rule(0, 2, True)
+    assert exact_t_rule(3, 5, False)
+    assert not exact_t_rule(3, 4, True)
+    assert not exact_t_rule(3, 1, True)
+    assert not exact_t_rule(None, 4, True)
+    with pytest.raises(ValueError):
+        exact_t_rule(2, -1, True)
