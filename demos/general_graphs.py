@@ -4,11 +4,12 @@ small-graph parameters from the BFS oracle."""
 import random
 
 from relabel import (
+    ConfigurationSpace,
     apply_vertex_sequence,
+    diameter,
+    distance,
     distance_upper_bound,
     make_family,
-    p_g,
-    p_g_diameter,
     spanning_tree_transform,
 )
 
@@ -28,9 +29,10 @@ for name, graph in [("path P_5", make_family("path", 5)),
                     ("star K_{1,4}", make_family("star", 5)),
                     ("cycle C_5", make_family("cycle", 5)),
                     ("complete K_4", make_family("complete", 4))]:
-    print(f"  {name:14s} -> {p_g_diameter(graph)}")
+    print(f"  {name:14s} -> {diameter(ConfigurationSpace(graph))}")
 
 p5 = make_family("path", 5)
 a5 = tuple(rng.sample(range(5), 5))
 b5 = tuple(rng.sample(range(5), 5))
-print(f"exact distance between {a5} and {b5} on P_5: {p_g(p5, a5, b5)}")
+print(f"exact distance between {a5} and {b5} on P_5: "
+      f"{distance(p5, a5, b5, 'bfs').distance}")

@@ -87,10 +87,10 @@ from .reductions import (
     vertex_to_edge,
 )
 from .transform import (
+    Distance,
+    distance,
     distance_upper_bound,
     exact_t_feasible,
-    p_g,
-    p_g_diameter,
     spanning_tree_transform,
 )
 

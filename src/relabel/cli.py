@@ -13,9 +13,7 @@ import json
 import sys
 from typing import Any, Sequence
 
-from .exact_path import path_distance
-from .exact_star import star_distance
-from .graph import Graph, is_connected, is_path, is_tree, make_family, path_vertex_order
+from .graph import Graph, make_family
 from .jsonio import (
     board_from_json,
     flip_sequence_to_json,
@@ -25,7 +23,7 @@ from .jsonio import (
     instance_to_json,
     labeling_from_json,
 )
-from .labeling import apply_vertex_sequence, validate_vertex_labeling
+from .labeling import apply_vertex_sequence
 from .oracle import (
     CAPACITY_LIMIT,
     CapacityError,
@@ -38,7 +36,7 @@ from .oracle import (
 )
 from .privileged import PrivilegedInstance, puzzle_instance, resolve_solvable
 from .reductions import EdgeInstance, VertexInstance, edge_to_vertex, vertex_to_edge
-from .transform import spanning_tree_transform
+from .transform import METHODS, distance, spanning_tree_transform
 
 _SHIFTED_KEYS = {"edges", "labels", "edge_labels", "flips", "privileged", "witness"}
 
@@ -68,11 +66,11 @@ def _load_graph(path: str) -> Graph:
     return graph_from_json(_load_json(path))
 
 
-def _load_vertex_labels(path: str, g: Graph) -> tuple[int, ...]:
+def _load_vertex_labels(path: str) -> tuple[int, ...]:
     kind, labels = labeling_from_json(_load_json(path))
     if kind != "vertex":
         raise ValueError(f"{path}: expected a vertex labeling")
-    return validate_vertex_labeling(g, labels)
+    return labels
 
 
 def _load_board(source: str) -> tuple[int, ...]:
@@ -90,14 +88,6 @@ def _capacity(args: argparse.Namespace) -> int:
     return CAPACITY_LIMIT
 
 
-def _star_center(g: Graph) -> int | None:
-    if g.n >= 2 and is_tree(g):
-        centers = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-        if centers:
-            return centers[0]
-    return None
-
-
 def _cmd_gen(args: argparse.Namespace) -> tuple[Any, int]:
     g = make_family(args.family, args.n, seed=args.seed)
     return graph_to_json(g), 0
@@ -105,42 +95,15 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[Any, int]:
 
 def _cmd_distance(args: argparse.Namespace) -> tuple[Any, int]:
     g = _load_graph(args.graph)
-    frm = _load_vertex_labels(args.source, g)
-    to = _load_vertex_labels(args.target, g)
-    method = args.method
-    center = _star_center(g)
-
-    if method in ("auto", "path") and is_path(g):
-        order = path_vertex_order(g)
-        d = path_distance([frm[v] for v in order], [to[v] for v in order])
-        return {"distance": d, "exact": True, "method": "path"}, 0
-    if method == "path":
-        raise ValueError("--method path needs a path graph")
-    if method in ("auto", "star") and center is not None:
-        order = [center] + [v for v in range(g.n) if v != center]
-        d = star_distance([frm[v] for v in order], [to[v] for v in order])
-        return {"distance": d, "exact": True, "method": "star"}, 0
-    if method == "star":
-        raise ValueError("--method star needs a star graph")
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
-    capacity = _capacity(args)
-    if method in ("auto", "bfs"):
-        space = ConfigurationSpace(g, capacity=capacity)
-        try:
-            d = bfs_distance(space, frm, to)
-            return {"distance": d, "exact": True, "method": "bfs"}, 0
-        except CapacityError:
-            if method == "bfs":
-                raise
-    flips = spanning_tree_transform(g, frm, to)
-    return {"distance": len(flips), "exact": False, "method": "tree-bound"}, 0
+    frm = _load_vertex_labels(args.source)
+    to = _load_vertex_labels(args.target)
+    return distance(g, frm, to, args.method, _capacity(args))._asdict(), 0
 
 
 def _cmd_transform(args: argparse.Namespace) -> tuple[Any, int]:
     g = _load_graph(args.graph)
-    frm = _load_vertex_labels(args.source, g)
-    to = _load_vertex_labels(args.target, g)
+    frm = _load_vertex_labels(args.source)
+    to = _load_vertex_labels(args.target)
     if args.method == "bfs":
         space = ConfigurationSpace(g, capacity=_capacity(args))
         flips = shortest_flip_sequence(space, frm, to)
@@ -242,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--to", dest="target", required=True)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "path", "star", "bfs", "tree-bound"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     common(p)
     p.set_defaults(func=_cmd_distance)
 

@@ -11,7 +11,7 @@ permutation pi is the parameter q:
 
 where pi0 is pi normalized to fix 0.  Exactly t flips work iff t >= q
 and t has the same parity as q, except that q = 0 < t needs a leaf to
-flip with.
+flip with.  An empty labeling has no center and raises ValueError.
 
 Distance and sequence both take O(n): q comes from one walk over the
 cycles, and each call validates the two labelings once, in O(n) with one
@@ -30,8 +30,10 @@ def _q(p: Sequence[int]) -> int:
     """q of a permutation: fix the center up in place, then walk the cycles once."""
     p = list(p)
     n = len(p)
+    if not n:
+        raise ValueError("an empty labeling has no star center")
     shift = 0
-    if n and p[0] != 0:
+    if p[0] != 0:
         # compose with the transposition (0, j), p(j) = 0, as pi_zero does
         j = p.index(0)
         shift = 1 if j == p[0] else -1
@@ -73,6 +75,8 @@ def star_flip_sequence(labels: Sequence[int],
     """
     rel = list(relative_permutation(labels, target))
     n = len(rel)
+    if not n:
+        raise ValueError("an empty labeling has no star center")
     flips: list[tuple[int, int]] = []
     low = 1  # every leaf below low holds its own label
     while True:

@@ -52,14 +52,6 @@ def graph_from_json(obj: Any) -> Graph:
     return Graph(_int(obj["n"], "vertex count"), _pairs(obj["edges"], "edges"))
 
 
-def vertex_labeling_to_json(labels: Sequence[int]) -> dict:
-    return {"labels": list(labels)}
-
-
-def edge_labeling_to_json(labels: Sequence[int]) -> dict:
-    return {"edge_labels": list(labels)}
-
-
 def labeling_from_json(obj: Any) -> tuple[str, tuple[int, ...]]:
     """Return ("vertex"|"edge", labels) according to the key present."""
     if isinstance(obj, dict) and "labels" in obj:
@@ -83,33 +75,23 @@ def flip_sequence_to_json(flips: Sequence[Sequence[int]], kind: str = "vertex") 
     return out
 
 
-def flip_sequence_from_json(obj: Any) -> tuple[str, list[tuple[int, int]]]:
-    if not isinstance(obj, dict) or "flips" not in obj:
-        raise ValueError('flip sequence JSON needs "flips"')
-    kind = obj.get("kind", "vertex")
-    return kind, _pairs(obj["flips"], "flips")
-
-
 def instance_to_json(inst: VertexInstance | EdgeInstance | PrivilegedInstance) -> dict:
+    """The instance as JSON; "privileged" appears only on privileged instances."""
     if isinstance(inst, PrivilegedInstance):
-        wrap = vertex_labeling_to_json if inst.kind == "vertex" else edge_labeling_to_json
-        return {
-            "kind": inst.kind,
-            "graph": graph_to_json(inst.graph),
-            "from": wrap(inst.from_labels),
-            "to": wrap(inst.to_labels),
-            "privileged": sorted(inst.privileged),
-            "t": inst.t,
-        }
-    kind = "vertex" if isinstance(inst, VertexInstance) else "edge"
-    wrap = vertex_labeling_to_json if kind == "vertex" else edge_labeling_to_json
-    return {
+        kind = inst.kind
+    else:
+        kind = "vertex" if isinstance(inst, VertexInstance) else "edge"
+    key = "labels" if kind == "vertex" else "edge_labels"
+    out = {
         "kind": kind,
         "graph": graph_to_json(inst.graph),
-        "from": wrap(inst.from_labels),
-        "to": wrap(inst.to_labels),
+        "from": {key: list(inst.from_labels)},
+        "to": {key: list(inst.to_labels)},
         "t": inst.t,
     }
+    if isinstance(inst, PrivilegedInstance):
+        out["privileged"] = sorted(inst.privileged)
+    return out
 
 
 def instance_from_json(obj: Any) -> VertexInstance | EdgeInstance | PrivilegedInstance:

@@ -12,9 +12,9 @@ whose itemgetter returns the labeling with the edge's two labels swapped
 in one C call.  With a single privileged label (a puzzle's blank) only
 the flips at that label's position can be legal, so the search looks them
 up by position; with more it tests the two swapped labels.
-All searches refuse to start when the space would exceed the capacity
-guard (10! states by default); pass a larger capacity explicitly to
-override.
+All searches validate their labelings, then refuse to start when the
+space would exceed the capacity guard (10! states by default); pass a
+larger capacity explicitly to override.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def _search(space: ConfigurationSpace, src: tuple[int, ...],
 def distance_map(space: ConfigurationSpace,
                  source: Sequence[int]) -> dict[tuple[int, ...], int]:
     """BFS distances from source to every reachable labeling."""
-    space.check_capacity()
     src = space.validate_state(source)
+    space.check_capacity()
     dist, sizes = _search(space, src)
     states = iter(dist)
     for depth, size in enumerate(sizes):
@@ -161,9 +161,9 @@ def distance_map(space: ConfigurationSpace,
 def bfs_distance(space: ConfigurationSpace, frm: Sequence[int],
                  to: Sequence[int]) -> int | None:
     """Shortest flip count from frm to to, or None when unreachable."""
-    space.check_capacity()
     src = space.validate_state(frm)
     dst = space.validate_state(to)
+    space.check_capacity()
     reached, sizes = _search(space, src, dst)
     return len(sizes) - 1 if dst in reached else None
 
@@ -171,9 +171,9 @@ def bfs_distance(space: ConfigurationSpace, frm: Sequence[int],
 def shortest_flip_sequence(space: ConfigurationSpace, frm: Sequence[int],
                            to: Sequence[int]) -> list[tuple[int, int]] | None:
     """A shortest legal flip sequence from frm to to, or None when unreachable."""
-    space.check_capacity()
     src = space.validate_state(frm)
     dst = space.validate_state(to)
+    space.check_capacity()
     reached, _ = _search(space, src, dst)
     if dst not in reached:
         return None
@@ -197,9 +197,9 @@ def reachable_in_exactly(space: ConfigurationSpace, frm: Sequence[int],
     With d the distance, that holds iff t >= d, t = d (mod 2), and, when
     d = 0 < t, some flip is legal at frm (labeling.exact_t_rule).
     """
-    space.check_capacity()
     src = space.validate_state(frm)
     dst = space.validate_state(to)
+    space.check_capacity()
     reached, sizes = _search(space, src, dst)
     d = len(sizes) - 1 if dst in reached else None
     return exact_t_rule(d, t, bool(_legal_flips(space)(src)))
@@ -221,7 +221,10 @@ def component(space: ConfigurationSpace, frm: Sequence[int],
 
 
 def diameter(space: ConfigurationSpace, frm: Sequence[int] | None = None) -> int:
-    """Eccentricity of frm (default: the identity labeling) over its component."""
+    """Eccentricity of frm (default: the identity labeling) over its component.
+
+    Unrestricted, that is the diameter: renaming labels is an automorphism.
+    """
     if frm is None:
         frm = space.identity_state()
     return max(distance_map(space, frm).values())

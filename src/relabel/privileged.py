@@ -432,23 +432,16 @@ def _cycle_transform(g: Graph, frm: tuple[int, ...], to: tuple[int, ...],
     return flips
 
 
-def puzzle_instance(side: int, b1: Sequence, b2: Sequence, k: int) -> PrivilegedInstance:
+def puzzle_instance(side: int, b1: Sequence[int], b2: Sequence[int],
+                    k: int) -> PrivilegedInstance:
     """Sliding-puzzle boards as a privileged relabeling instance.
 
-    Boards are row-major permutations of 0..side*side-1 (nested rows are
-    accepted); the blank is the largest label and is the only privileged
-    one, so a board move is exactly one restricted flip on the grid.
+    Boards are flat row-major permutations of 0..side*side-1; the blank is
+    the largest label and is the only privileged one, so a board move is
+    exactly one restricted flip on the grid.
     """
     if side < 1:
         raise ValueError("side must be >= 1")
-
-    def flatten(board: Sequence) -> tuple[int, ...]:
-        cells = list(board)
-        if cells and isinstance(cells[0], (list, tuple)):
-            cells = [x for row in cells for x in row]
-        return tuple(cells)
-
     grid = make_family("grid", side)
     blank = side * side - 1
-    return PrivilegedInstance(grid, "vertex", flatten(b1), flatten(b2),
-                              frozenset({blank}), k)
+    return PrivilegedInstance(grid, "vertex", b1, b2, frozenset({blank}), k)

@@ -1,4 +1,4 @@
-"""Relabeling transformations and exact parameters for general connected graphs.
+"""Relabeling transformations, exact parameters, and the one distance dispatcher.
 
 The constructive transformation routes labels home one vertex at a time
 along a spanning tree, in leaf elimination order, never touching vertices
@@ -6,16 +6,32 @@ already completed; it uses at most n(n-1)/2 flips.  Placing the labels
 takes O(n + flips) time and O(n) memory, on top of building the BFS
 spanning tree, O(n + m), and its leaf order, O(n log n).  The exact
 minimum for small graphs comes from the BFS oracle.
+
+``distance`` is the only place that chooses how a distance query is
+answered: the path and star closed forms, the BFS oracle within its
+capacity, or the length of the constructive sequence as an upper bound.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .graph import Graph, prufer_elimination_order, spanning_tree
+from .exact_path import path_distance
+from .exact_star import star_distance
+from .graph import (
+    Graph,
+    is_connected,
+    is_path,
+    is_tree,
+    path_vertex_order,
+    prufer_elimination_order,
+    spanning_tree,
+)
 from .labeling import exact_t_rule, relative_permutation, validate_vertex_labeling
-from .oracle import CAPACITY_LIMIT, ConfigurationSpace, bfs_distance, diameter
+from .oracle import CAPACITY_LIMIT, CapacityError, ConfigurationSpace, bfs_distance
 from .perm import inverse, parity
+
+METHODS = ("auto", "path", "star", "bfs", "tree-bound")
 
 
 def _transform_steps(g: Graph, labels: Sequence[int], target: Sequence[int]
@@ -78,14 +94,62 @@ def distance_upper_bound(g: Graph, mode: str = "vertex") -> int:
     raise ValueError(f"mode must be 'vertex' or 'edge', got {mode!r}")
 
 
-def p_g(g: Graph, labels: Sequence[int], target: Sequence[int],
-        capacity: int = CAPACITY_LIMIT) -> int:
-    """Exact minimum flip count on a small connected graph, by BFS."""
-    space = ConfigurationSpace(g, capacity=capacity)
-    d = bfs_distance(space, labels, target)
-    if d is None:
+class Distance(NamedTuple):
+    """A flip distance, whether it is exact, and the method that gave it."""
+
+    distance: int
+    exact: bool
+    method: str
+
+
+def distance(g: Graph, labels: Sequence[int], target: Sequence[int],
+             method: str = "auto", capacity: int = CAPACITY_LIMIT) -> Distance:
+    """Flip distance between two vertex labelings of g, by one of METHODS.
+
+    "auto" takes the first that applies: the path closed form on a path
+    (in its traversal order), the star closed form on a star (center
+    first), BFS within capacity, and otherwise the length of the
+    spanning-tree sequence, an upper bound with exact False.  An explicit
+    method answers only by itself, and raises ValueError where it does
+    not apply and CapacityError where BFS exceeds capacity.  Each method
+    validates the labelings itself; this checks only their lengths.
+
+    >>> from relabel.graph import make_family
+    >>> distance(make_family("path", 3), (2, 1, 0), (0, 1, 2))
+    Distance(distance=3, exact=True, method='path')
+    >>> distance(make_family("cycle", 4), (1, 0, 3, 2), (0, 1, 2, 3))._asdict()
+    {'distance': 2, 'exact': True, 'method': 'bfs'}
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {', '.join(METHODS)}; got {method!r}")
+    if len(labels) != g.n or len(target) != g.n:
+        raise ValueError(f"labelings of a graph on {g.n} vertices need {g.n} labels, "
+                         f"got {len(labels)} and {len(target)}")
+    if method in ("auto", "path") and is_path(g):
+        order = path_vertex_order(g)
+        d = path_distance([labels[v] for v in order], [target[v] for v in order])
+        return Distance(d, True, "path")
+    if method == "path":
+        raise ValueError("method path needs a path graph")
+    center = None
+    if g.n >= 2 and is_tree(g):
+        center = next((v for v in range(g.n) if g.degree(v) == g.n - 1), None)
+    if method in ("auto", "star") and center is not None:
+        order = [center] + [v for v in range(g.n) if v != center]
+        d = star_distance([labels[v] for v in order], [target[v] for v in order])
+        return Distance(d, True, "star")
+    if method == "star":
+        raise ValueError("method star needs a star graph")
+    if not is_connected(g):
         raise ValueError("graph is not connected")
-    return d
+    if method in ("auto", "bfs"):
+        try:
+            return Distance(bfs_distance(ConfigurationSpace(g, capacity=capacity),
+                                         labels, target), True, "bfs")
+        except CapacityError:
+            if method == "bfs":
+                raise
+    return Distance(len(spanning_tree_transform(g, labels, target)), False, "tree-bound")
 
 
 def exact_t_feasible(g: Graph, labels: Sequence[int], target: Sequence[int],
@@ -96,15 +160,6 @@ def exact_t_feasible(g: Graph, labels: Sequence[int], target: Sequence[int],
     parity, and a distance of 0 < t finds an edge to flip; the distance
     parity equals the relative permutation's parity.
     """
-    d = p_g(g, labels, target, capacity=capacity)
+    d = distance(g, labels, target, "bfs", capacity).distance
     assert d % 2 == parity(relative_permutation(labels, target))
     return exact_t_rule(d, t, g.m > 0)
-
-
-def p_g_diameter(g: Graph, capacity: int = CAPACITY_LIMIT) -> int:
-    """Largest exact distance between any two labelings of g.
-
-    One BFS from the identity suffices: renaming labels is an automorphism
-    of the configuration space, so it is vertex-transitive.
-    """
-    return diameter(ConfigurationSpace(g, capacity=capacity))

@@ -7,6 +7,7 @@ from relabel.cli import main
 from relabel.graph import Graph, make_family
 from relabel.jsonio import graph_to_json
 from relabel.labeling import apply_vertex_sequence
+from relabel.transform import METHODS
 
 
 def run(capsys, *argv):
@@ -261,17 +262,37 @@ def test_string_vertex_count_exits_2(capsys, p3_files):
     assert_input_error(capsys, "distance", "--graph", graph, "--from", ident, "--to", ident)
 
 
+def assert_labeling_refused(capsys, p3_files, labels):
+    # every distance method and both transform methods, on P_3 (a path and a
+    # star) and on K_3 (neither), with the bad labeling on either side
+    tmp_path, p3, ident = p3_files
+    k3 = write(tmp_path, "k3.json", graph_to_json(make_family("complete", 3)))
+    bad = write(tmp_path, "bad.json", {"labels": labels})
+    requests = [("distance", m) for m in METHODS] + \
+        [("transform", m) for m in ("tree-bound", "bfs")]
+    for graph in (p3, k3):
+        for command, method in requests:
+            for frm, to in ((bad, ident), (ident, bad)):
+                assert_input_error(capsys, command, "--graph", graph, "--from", frm,
+                                   "--to", to, "--method", method)
+
+
 def test_short_labeling_exits_2(capsys, p3_files):
-    tmp_path, graph, ident = p3_files
-    short = write(tmp_path, "short.json", {"labels": [0, 1]})
-    assert_input_error(capsys, "distance", "--graph", graph, "--from", short, "--to", ident)
+    for labels in ([0, 1], [0, 1, 2, 3], [0, 0, 2]):
+        assert_labeling_refused(capsys, p3_files, labels)
+    # a bad labeling is an input error also where BFS would exceed capacity
+    tmp_path = p3_files[0]
+    k11 = write(tmp_path, "k11.json", graph_to_json(make_family("complete", 11)))
+    dup = write(tmp_path, "dup11.json", {"labels": [0] + list(range(10))})
+    ident = write(tmp_path, "id11.json", {"labels": list(range(11))})
+    for command in ("distance", "transform"):
+        assert_input_error(capsys, command, "--graph", k11, "--from", dup, "--to", ident,
+                           "--method", "bfs")
 
 
 def test_float_label_exits_2(capsys, p3_files):
-    tmp_path, graph, ident = p3_files
     for labels in ([0, 1.0, 2], [0, True, 2]):
-        bad = write(tmp_path, "bad.json", {"labels": labels})
-        assert_input_error(capsys, "distance", "--graph", graph, "--from", bad, "--to", ident)
+        assert_labeling_refused(capsys, p3_files, labels)
 
 
 def test_non_integer_instance_fields_exit_2(capsys, tmp_path):

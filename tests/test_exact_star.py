@@ -192,3 +192,9 @@ def test_unequal_lengths_raise_value_error():
     for fn in (star_distance, star_flip_sequence):
         with pytest.raises(ValueError, match="size mismatch"):
             fn((0, 1), (0, 1, 2))
+    # an empty labeling has no center
+    with pytest.raises(ValueError, match="no star center"):
+        star_q(())
+    for fn in (star_distance, star_flip_sequence):
+        with pytest.raises(ValueError, match="no star center"):
+            fn((), ())

@@ -286,8 +286,9 @@ def test_puzzle_instance():
     assert inst.privileged == frozenset({3})
     assert inst.t == 0
     assert inst.graph.n == 4 and inst.graph.m == 4
-    nested = puzzle_instance(2, [[0, 1], [2, 3]], [[0, 1], [2, 3]], 0)
-    assert nested.from_labels == inst.from_labels
+    # boards are flat; nested rows are decoded on the wire (jsonio.board_from_json)
+    with pytest.raises(ValueError):
+        puzzle_instance(2, [[0, 1], [2, 3]], [[0, 1], [2, 3]], 0)
     with pytest.raises(ValueError):
         puzzle_instance(2, [0, 1, 2], [0, 1, 2, 3], 0)
     with pytest.raises(ValueError):

@@ -4,21 +4,29 @@ from collections import deque
 
 import pytest
 
-from relabel.graph import make_family, prufer_elimination_order, spanning_tree
+from relabel.graph import Graph, make_family, prufer_elimination_order, spanning_tree
 from relabel.labeling import (
     apply_vertex_sequence,
     identity_labeling,
     relative_permutation,
     validate_vertex_labeling,
 )
-from relabel.oracle import ConfigurationSpace, bfs_distance, distance_map, reachable_in_exactly
+from relabel.oracle import (
+    CapacityError,
+    ConfigurationSpace,
+    bfs_distance,
+    diameter,
+    distance_map,
+    reachable_in_exactly,
+)
 from relabel.perm import parity
 from relabel.transform import (
+    METHODS,
+    Distance,
     _transform_steps,
+    distance,
     distance_upper_bound,
     exact_t_feasible,
-    p_g,
-    p_g_diameter,
     spanning_tree_transform,
 )
 
@@ -137,7 +145,7 @@ def test_exact_t_feasible():
     for _ in range(10):
         a = tuple(rng.sample(range(4), 4))
         b = tuple(rng.sample(range(4), 4))
-        d = p_g(c4, a, b)
+        d = distance(c4, a, b, "bfs").distance
         assert exact_t_feasible(c4, a, b, d)
         assert not exact_t_feasible(c4, a, b, d + 1)
         assert exact_t_feasible(c4, a, b, d + 2)
@@ -150,23 +158,74 @@ def test_exact_t_feasible():
 
 
 def test_p_g_agrees_with_closed_forms():
-    from relabel.exact_path import path_distance
-    from relabel.exact_star import star_distance
+    # auto answers paths and stars by their closed forms, equal to the BFS
+    # distance on every ordered pair of P_5 and K_{1,4}, in canonical order
+    # and with the path 3-1-4-0-2 and the center at 2; the bfs method gives
+    # the same on every tenth target
+    labelings = list(itertools.permutations(range(5)))
+    for g, method in ((make_family("path", 5), "path"),
+                      (Graph(5, [(1, 3), (1, 4), (0, 4), (0, 2)]), "path"),
+                      (make_family("star", 5), "star"),
+                      (Graph(5, [(0, 2), (1, 2), (2, 3), (2, 4)]), "star")):
+        space = ConfigurationSpace(g)
+        for a in labelings:
+            dist = distance_map(space, a)
+            for b in labelings:
+                assert distance(g, a, b) == (dist[b], True, method)
+            for b in labelings[::10]:
+                assert distance(g, a, b, "bfs") == (dist[b], True, "bfs")
 
-    rng = random.Random(37)
-    p5 = make_family("path", 5)
-    s5 = make_family("star", 5)
-    for _ in range(25):
-        a = tuple(rng.sample(range(5), 5))
-        b = tuple(rng.sample(range(5), 5))
-        assert p_g(p5, a, b) == path_distance(a, b)
-        assert p_g(s5, a, b) == star_distance(a, b)
+
+def test_distance_rejects_what_no_method_answers():
+    p4 = make_family("path", 4)
+    k4 = make_family("complete", 4)
+    ident = identity_labeling(4)
+    for g, method in ((k4, "path"), (k4, "star"), (make_family("star", 4), "path"),
+                      (p4, "star"), (make_family("cycle", 4), "star")):
+        with pytest.raises(ValueError, match=f"method {method} needs"):
+            distance(g, ident, ident, method)
+    with pytest.raises(ValueError, match="method must be one of"):
+        distance(p4, ident, ident, "astar")
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    for method in ("auto", "bfs", "tree-bound"):
+        with pytest.raises(ValueError, match="not connected"):
+            distance(two_edges, ident, ident, method)
+    # a long labeling is refused, not truncated by the path or star reorder
+    applies = {"auto": p4, "path": p4, "star": make_family("star", 4), "bfs": k4,
+               "tree-bound": k4}
+    for method in METHODS:
+        with pytest.raises(ValueError, match="need 4 labels"):
+            distance(applies[method], (0, 1, 2, 3, 4), ident, method)
+        with pytest.raises(ValueError, match="need 4 labels"):
+            distance(applies[method], ident, (0, 1, 2), method)
+
+
+def test_distance_falls_back_past_capacity():
+    g = make_family("random_connected", 12, seed=4)
+    ident = identity_labeling(12)
+    rev = tuple(reversed(ident))
+    with pytest.raises(CapacityError):
+        distance(g, ident, rev, "bfs")
+    out = distance(g, ident, rev)
+    assert out == Distance(len(spanning_tree_transform(g, ident, rev)), False, "tree-bound")
+    assert out._asdict() == {"distance": out.distance, "exact": False,
+                             "method": "tree-bound"}
+    assert out.distance <= 66 and out.distance % 2 == parity(relative_permutation(ident, rev))
+    # the capacity passed decides between the two on C_6 (6! = 720 states)
+    c6 = make_family("cycle", 6)
+    rev6 = tuple(reversed(range(6)))
+    d = bfs_distance(ConfigurationSpace(c6), rev6, identity_labeling(6))
+    assert distance(c6, rev6, identity_labeling(6)) == (d, True, "bfs")
+    assert distance(c6, rev6, identity_labeling(6), capacity=719) == \
+        (len(spanning_tree_transform(c6, rev6, identity_labeling(6))), False, "tree-bound")
+    with pytest.raises(CapacityError):
+        distance(c6, rev6, identity_labeling(6), "bfs", 719)
 
 
 def test_p_g_diameter_values():
-    assert p_g_diameter(make_family("path", 5)) == 10
-    assert p_g_diameter(make_family("star", 5)) == 6
-    assert p_g_diameter(make_family("complete", 3)) == 2
+    for g, d in ((make_family("path", 5), 10), (make_family("star", 5), 6),
+                 (make_family("complete", 3), 2)):
+        assert diameter(ConfigurationSpace(g)) == d
 
 
 def test_p_g_diameter_k3_brute_force():
@@ -175,7 +234,7 @@ def test_p_g_diameter_k3_brute_force():
     space = ConfigurationSpace(k3)
     labelings = list(itertools.permutations(range(3)))
     worst = max(distance_map(space, a)[b] for a in labelings for b in labelings)
-    assert worst == 2 == p_g_diameter(k3)
+    assert worst == 2 == diameter(space)
 
 
 def test_vertex_transitivity():
@@ -197,4 +256,4 @@ def test_distance_parity_equals_relative_parity():
     for _ in range(20):
         a = tuple(rng.sample(range(5), 5))
         b = tuple(rng.sample(range(5), 5))
-        assert p_g(g, a, b) % 2 == parity(relative_permutation(a, b))
+        assert distance(g, a, b, "bfs").distance % 2 == parity(relative_permutation(a, b))
