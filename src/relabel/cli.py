@@ -108,7 +108,7 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[Any, int]:
         space = ConfigurationSpace(g, capacity=_capacity(args))
         flips = shortest_flip_sequence(space, frm, to)
         if flips is None:
-            raise ValueError("graph is not connected")
+            raise ValueError("labelings lie in different components")
     else:
         flips = spanning_tree_transform(g, frm, to)
     if apply_vertex_sequence(g, frm, flips) != to:

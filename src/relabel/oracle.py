@@ -6,28 +6,34 @@ flip of the original graph is exactly a vertex flip.  The flip rule is
 either unrestricted or privileged(S): a flip is legal only if at least
 one of the two swapped labels belongs to S.
 
-Every query reads one breadth-first search, keyed by the labeling tuple.
-The search builds a flip table first: one entry per edge, in edge order,
-whose itemgetter returns the labeling with the edge's two labels swapped
-in one C call.  With a single privileged label (a puzzle's blank) only
-the flips at that label's position can be legal, so the search looks them
-up by position; with more it tests the two swapped labels.
+Every query reads one breadth-first search, keyed by where each label
+sits: a labeling state[position] = label is searched as its inverse,
+the bytes w with w[label] = position.  A flip on edge (u, v) exchanges
+the values u and v in w, so the search builds a flip table first, one
+entry per edge, in edge order, whose bytes.maketrans table gives the
+neighbouring key by w.translate in one C call.  With a single privileged
+label (a puzzle's blank) only the flips at its position w[label] can be
+legal, so the search looks them up by position; with more it keeps the
+flips incident to any privileged label's position.  Keys turn back into
+labelings only where a query returns them; diameters and histograms
+read the level sizes alone.
 All searches validate their labelings, then refuse to start when the
-space would exceed the capacity guard (10! states by default); pass a
-larger capacity explicitly to override.
+space would exceed the capacity guard (10! states by default; pass a
+larger capacity explicitly to override) or has more than 256 positions,
+which a bytes key cannot hold.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
-from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph, line_graph
 from .labeling import exact_t_rule, identity_labeling, validate_vertex_labeling
 
 CAPACITY_LIMIT = math.factorial(10)
+MAX_POSITIONS = 256  # a search key stores each position in one byte
 
 
 class CapacityError(Exception):
@@ -64,6 +70,10 @@ class ConfigurationSpace:
         return math.factorial(self.positions)
 
     def check_capacity(self) -> None:
+        if self.positions > MAX_POSITIONS:
+            raise CapacityError(
+                f"{self.positions} positions exceed the {MAX_POSITIONS} a search can hold"
+            )
         if self.size() > self.capacity:
             raise CapacityError(
                 f"{self.positions}! = {self.size()} states exceeds capacity {self.capacity}"
@@ -76,66 +86,77 @@ class ConfigurationSpace:
         return identity_labeling(self.positions)
 
 
-_Flip = tuple[tuple[int, int], Callable[[tuple[int, ...]], tuple[int, ...]]]
+_Flip = tuple[tuple[int, int], bytes]
 
 
-def _legal_flips(space: ConfigurationSpace
-                 ) -> Callable[[tuple[int, ...]], list[_Flip]]:
-    """The flip table of space, as a map from a labeling to its legal flips.
+def _keys(space: ConfigurationSpace, *labelings: Sequence[int]) -> list[bytes]:
+    """Validate labelings, check capacity, and return their search keys.
 
-    The table has one entry (edge, flip) per edge of space.base.edges, in
-    edge order.  flip is an itemgetter over the positions with the edge's
-    two ends exchanged, so flip(state) is the neighbouring labeling in one
-    C call.  The map returns the entries legal at a labeling, in edge
-    order: all of them when flips are unrestricted; with one privileged
-    label, those incident to its position, from a table indexed by
-    position (on a puzzle space, only the blank's flips); with more, those
-    that swap a privileged label.
+    The key of a labeling (state[position] = label) is its inverse as
+    bytes, w[label] = position.  Capacity is checked before any key is
+    built, since a key holds positions 0-255 only.
     """
+    states = [space.validate_state(x) for x in labelings]
+    space.check_capacity()
     n = space.positions
-    table = []
-    for edge in space.base.edges:
-        u, v = edge
-        swap = list(range(n))
-        swap[u], swap[v] = v, u
-        table.append((edge, itemgetter(*swap)))
+    ident = bytes(range(n))
+    return [bytes.maketrans(bytes(x), ident)[:n] for x in states]
+
+
+def _legal_flips(space: ConfigurationSpace) -> Callable[[bytes], list[_Flip]]:
+    """The flip table of space, as a map from a search key to its legal flips.
+
+    The table has one entry (edge, swap) per edge of space.base.edges, in
+    edge order.  A flip on (u, v) exchanges the positions u and v, so
+    swap is the translation table that exchanges the byte values u and v,
+    and w.translate(swap) is the neighbouring key in one C call.  The map
+    returns the entries legal at a key, in edge order: all of them when
+    flips are unrestricted; with one privileged label, those incident to
+    its position w[label], from a table indexed by position (on a puzzle
+    space, only the blank's flips); with more, those incident to any
+    privileged label's position.
+    """
+    table = [(edge, bytes.maketrans(bytes(edge), bytes(edge[::-1])))
+             for edge in space.base.edges]
     s = space.privileged
     if s is None:
-        return lambda state: table
+        return lambda w: table
     if len(s) == 1:
         (label,) = s
-        at: list[list[_Flip]] = [[] for _ in range(n)]
+        at: list[list[_Flip]] = [[] for _ in range(space.positions)]
         for entry in table:
             u, v = entry[0]
             at[u].append(entry)
             at[v].append(entry)
-        return lambda state: at[state.index(label)]
-    return lambda state: [entry for entry in table
-                          if state[entry[0][0]] in s or state[entry[0][1]] in s]
+        return lambda w: at[w[label]]
+
+    def legal(w: bytes) -> list[_Flip]:
+        held = {w[x] for x in s}
+        return [entry for entry in table if entry[0][0] in held or entry[0][1] in held]
+    return legal
 
 
-def _search(space: ConfigurationSpace, src: tuple[int, ...],
-            dst: tuple[int, ...] | None = None
-            ) -> tuple[dict[tuple[int, ...], tuple[int, int] | None], list[int]]:
+def _search(space: ConfigurationSpace, src: bytes, dst: bytes | None = None
+            ) -> tuple[dict[bytes, _Flip | None], list[int]]:
     """Breadth-first search from src, level by level, flips tried in edge order.
 
-    Returns (reached, sizes).  reached maps every labeling found, in
-    discovery order, to the edge whose flip first reached it (src maps to
-    None); sizes[k] counts the labelings found at depth k.  The search
-    stops the moment dst is found, so dst, when reached, sits at depth
-    len(sizes) - 1.
+    src and dst are search keys (see _keys).  Returns (reached, sizes).
+    reached maps every key found, in discovery order, to the flip-table
+    entry whose flip first reached it (src maps to None); sizes[k] counts
+    the keys found at depth k.  The search stops the moment dst is found,
+    so dst, when reached, sits at depth len(sizes) - 1.
     """
     legal = _legal_flips(space)
-    reached: dict[tuple[int, ...], tuple[int, int] | None] = {src: None}
+    reached: dict[bytes, _Flip | None] = {src: None}
     sizes = [1]
     level = [src]
     while level and dst not in reached:
         found = []
-        for state in level:
-            for edge, flip in legal(state):
-                nxt = flip(state)
+        for w in level:
+            for entry in legal(w):
+                nxt = w.translate(entry[1])
                 if nxt not in reached:
-                    reached[nxt] = edge
+                    reached[nxt] = entry
                     found.append(nxt)
                     if nxt == dst:
                         return reached, sizes + [len(found)]
@@ -147,23 +168,21 @@ def _search(space: ConfigurationSpace, src: tuple[int, ...],
 
 def distance_map(space: ConfigurationSpace,
                  source: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """BFS distances from source to every reachable labeling."""
-    src = space.validate_state(source)
-    space.check_capacity()
-    dist, sizes = _search(space, src)
-    states = iter(dist)
-    for depth, size in enumerate(sizes):
-        for state in islice(states, size):
-            dist[state] = depth
-    return dist
+    """BFS distances from source to every reachable labeling, in discovery order."""
+    reached, sizes = _search(space, *_keys(space, source))
+    n = space.positions
+    ident = bytes(range(n))
+    maketrans = bytes.maketrans
+    keys = iter(reached)
+    # each key back to its labeling: the inverse of w, as a tuple of ints
+    return {tuple(maketrans(w, ident)[:n]): depth
+            for depth, size in enumerate(sizes) for w in islice(keys, size)}
 
 
 def bfs_distance(space: ConfigurationSpace, frm: Sequence[int],
                  to: Sequence[int]) -> int | None:
     """Shortest flip count from frm to to, or None when unreachable."""
-    src = space.validate_state(frm)
-    dst = space.validate_state(to)
-    space.check_capacity()
+    src, dst = _keys(space, frm, to)
     reached, sizes = _search(space, src, dst)
     return len(sizes) - 1 if dst in reached else None
 
@@ -171,21 +190,17 @@ def bfs_distance(space: ConfigurationSpace, frm: Sequence[int],
 def shortest_flip_sequence(space: ConfigurationSpace, frm: Sequence[int],
                            to: Sequence[int]) -> list[tuple[int, int]] | None:
     """A shortest legal flip sequence from frm to to, or None when unreachable."""
-    src = space.validate_state(frm)
-    dst = space.validate_state(to)
-    space.check_capacity()
-    reached, _ = _search(space, src, dst)
-    if dst not in reached:
+    src, w = _keys(space, frm, to)
+    reached, _ = _search(space, src, w)
+    if w not in reached:
         return None
     # undo the stored flips from dst back to src
     flips = []
-    state = list(dst)
-    edge = reached[dst]
-    while edge is not None:
-        flips.append(edge)
-        u, v = edge
-        state[u], state[v] = state[v], state[u]
-        edge = reached[tuple(state)]
+    entry = reached[w]
+    while entry is not None:
+        flips.append(entry[0])
+        w = w.translate(entry[1])
+        entry = reached[w]
     flips.reverse()
     return flips
 
@@ -197,9 +212,7 @@ def reachable_in_exactly(space: ConfigurationSpace, frm: Sequence[int],
     With d the distance, that holds iff t >= d, t = d (mod 2), and, when
     d = 0 < t, some flip is legal at frm (labeling.exact_t_rule).
     """
-    src = space.validate_state(frm)
-    dst = space.validate_state(to)
-    space.check_capacity()
+    src, dst = _keys(space, frm, to)
     reached, sizes = _search(space, src, dst)
     d = len(sizes) - 1 if dst in reached else None
     return exact_t_rule(d, t, bool(_legal_flips(space)(src)))
@@ -227,7 +240,7 @@ def diameter(space: ConfigurationSpace, frm: Sequence[int] | None = None) -> int
     """
     if frm is None:
         frm = space.identity_state()
-    return max(distance_map(space, frm).values())
+    return len(_search(space, *_keys(space, frm))[1]) - 1
 
 
 def distance_distribution(space: ConfigurationSpace,
@@ -235,7 +248,4 @@ def distance_distribution(space: ConfigurationSpace,
     """Histogram mapping distance from frm to the number of labelings at it."""
     if frm is None:
         frm = space.identity_state()
-    hist: dict[int, int] = {}
-    for d in distance_map(space, frm).values():
-        hist[d] = hist.get(d, 0) + 1
-    return dict(sorted(hist.items()))
+    return dict(enumerate(_search(space, *_keys(space, frm))[1]))

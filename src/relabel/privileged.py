@@ -132,6 +132,12 @@ def sw_swap(tree: Graph, u: int, v: int, labels: Sequence[int],
     """
     if not is_tree(tree):
         raise ValueError("sw_swap needs a tree")
+    return _sw_swap(tree, u, v, labels, privileged)
+
+
+def _sw_swap(tree: Graph, u: int, v: int, labels: Sequence[int],
+             privileged: frozenset[int] | set[int]) -> list[tuple[int, int]]:
+    # sw_swap on a graph already known to be a tree
     if u == v:
         return []
     path = tree_path(tree, u, v)
@@ -178,7 +184,7 @@ def _run_sw_plan(tree: Graph, plan: Sequence[tuple[int, int]],
     for a, b in plan:
         if a == b:
             continue
-        step = sw_swap(tree, a, b, cur, privileged)
+        step = _sw_swap(tree, a, b, cur, privileged)
         flips.extend(step)
         cur = apply_vertex_sequence(tree, cur, step)
     return flips
@@ -219,11 +225,18 @@ def tree_swap_sequence(tree: Graph, u: int, v: int, labels: Sequence[int],
     nonpriv = [x for x in range(tree.n) if labels[x] not in privileged]
     if len(nonpriv) != 2:
         raise ValueError(f"exactly two non-privileged labels required, found {len(nonpriv)}")
+    return _tree_swap(tree, u, v, labels, privileged, nonpriv)
 
+
+def _tree_swap(tree: Graph, u: int, v: int, labels: Sequence[int],
+               privileged: frozenset[int], nonpriv: Sequence[int]
+               ) -> list[tuple[int, int]]:
+    # tree_swap_sequence on arguments it has checked: a non-path tree,
+    # u != v, and nonpriv the two vertices holding non-privileged labels
     path = tree_path(tree, u, v)
     on_path = [x for x in nonpriv if x in set(path)]
     if len(on_path) <= 1:
-        return sw_swap(tree, u, v, labels, privileged)
+        return _sw_swap(tree, u, v, labels, privileged)
 
     if labels[u] not in privileged and labels[v] not in privileged:
         return _swap_both_nonpriv(tree, u, v, labels, privileged)
@@ -343,13 +356,16 @@ def privileged_transform(inst: PrivilegedInstance,
         return seq
     if is_cycle(g):
         return _cycle_transform(g, frm, to, inst.privileged)
+    # a non-path spanning tree by construction, and cur always holds the
+    # instance's two non-privileged labels: the unchecked swap applies
     tree = spanning_tree_not_path(g)
     cur = frm
     flips: list[tuple[int, int]] = []
     for v in range(g.n):
         if cur[v] != to[v]:
             u = cur.index(to[v])
-            step = tree_swap_sequence(tree, u, v, cur, inst.privileged)
+            nonpriv_at = [x for x in range(g.n) if cur[x] not in inst.privileged]
+            step = _tree_swap(tree, u, v, cur, inst.privileged, nonpriv_at)
             flips.extend(step)
             cur = apply_vertex_sequence(tree, cur, step)
     assert cur == to

@@ -111,8 +111,11 @@ def distance(g: Graph, labels: Sequence[int], target: Sequence[int],
     first), BFS within capacity, and otherwise the length of the
     spanning-tree sequence, an upper bound with exact False.  An explicit
     method answers only by itself, and raises ValueError where it does
-    not apply and CapacityError where BFS exceeds capacity.  Each method
-    validates the labelings itself; this checks only their lengths.
+    not apply and CapacityError where BFS exceeds capacity.  BFS answers
+    on a disconnected graph too, and raises ValueError when the two
+    labelings lie in different components; the tree bound needs a
+    connected graph.  Each method validates the labelings itself; this
+    checks only their lengths.
 
     >>> from relabel.graph import make_family
     >>> distance(make_family("path", 3), (2, 1, 0), (0, 1, 2))
@@ -140,15 +143,18 @@ def distance(g: Graph, labels: Sequence[int], target: Sequence[int],
         return Distance(d, True, "star")
     if method == "star":
         raise ValueError("method star needs a star graph")
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
     if method in ("auto", "bfs"):
         try:
-            return Distance(bfs_distance(ConfigurationSpace(g, capacity=capacity),
-                                         labels, target), True, "bfs")
+            d = bfs_distance(ConfigurationSpace(g, capacity=capacity), labels, target)
         except CapacityError:
             if method == "bfs":
                 raise
+        else:
+            if d is None:
+                raise ValueError("labelings lie in different components")
+            return Distance(d, True, "bfs")
+    if not is_connected(g):
+        raise ValueError("graph is not connected")
     return Distance(len(spanning_tree_transform(g, labels, target)), False, "tree-bound")
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -93,6 +94,48 @@ def test_distance_bfs_and_fallback(capsys, tmp_path):
     code = main(["distance", "--graph", graph, "--from", a, "--to", b,
                  "--method", "bfs"])
     assert code == 3
+
+
+def test_disconnected_graph_answers(capsys, tmp_path):
+    # distance, oracle and transform by BFS agree on a reachable pair of a
+    # disconnected graph and all refuse an unreachable one (the oracle
+    # answers null); the tree bound refuses both
+    graph = write(tmp_path, "two.json", {"n": 4, "edges": [[0, 1], [2, 3]]})
+    swapped = write(tmp_path, "swapped.json", {"labels": [1, 0, 3, 2]})
+    crossed = write(tmp_path, "crossed.json", {"labels": [2, 1, 0, 3]})
+    ident = write(tmp_path, "id.json", {"labels": [0, 1, 2, 3]})
+    for method in ("auto", "bfs"):
+        code, out = run(capsys, "distance", "--graph", graph, "--from", swapped,
+                        "--to", ident, "--method", method)
+        assert code == 0 and out == {"distance": 2, "exact": True, "method": "bfs"}
+        assert_input_error(capsys, "distance", "--graph", graph, "--from", crossed,
+                           "--to", ident, "--method", method)
+    code, out = run(capsys, "oracle", "--graph", graph, "--from", swapped, "--to", ident)
+    assert code == 0 and out == {"distance": 2}
+    code, out = run(capsys, "oracle", "--graph", graph, "--from", crossed, "--to", ident)
+    assert code == 0 and out == {"distance": None}
+    code, out = run(capsys, "transform", "--graph", graph, "--from", swapped,
+                    "--to", ident, "--method", "bfs")
+    assert code == 0 and out == {"flips": [[0, 1], [2, 3]]}
+    assert_input_error(capsys, "transform", "--graph", graph, "--from", crossed,
+                       "--to", ident, "--method", "bfs")
+    for frm in (swapped, crossed):
+        for command in ("distance", "transform"):
+            assert_input_error(capsys, command, "--graph", graph, "--from", frm,
+                               "--to", ident, "--method", "tree-bound")
+
+
+def test_position_limit_exits_3(capsys, tmp_path):
+    # a search holds at most 256 positions, whatever the capacity override
+    graph = write(tmp_path, "p300.json", graph_to_json(make_family("path", 300)))
+    ident = write(tmp_path, "id300.json", {"labels": list(range(300))})
+    override = str(math.factorial(300))
+    for argv in (("oracle", "--graph", graph, "--from", ident, "--to", ident),
+                 ("distance", "--graph", graph, "--from", ident, "--to", ident,
+                  "--method", "bfs")):
+        assert main([*argv, "--capacity-override", override]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "300 positions" in err
 
 
 def test_distance_method_mismatch(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -156,6 +157,21 @@ def test_capacity_guard():
     assert diameter(ConfigurationSpace(small, capacity=10**6)) == 10
 
 
+def test_position_limit():
+    # a search key stores each position in one byte: 256 positions are
+    # searched, more are refused whatever the capacity
+    p300 = make_family("path", 300)
+    ident = identity_labeling(300)
+    space = ConfigurationSpace(p300, capacity=math.factorial(300))
+    with pytest.raises(CapacityError, match="300 positions"):
+        bfs_distance(space, ident, ident)
+    p256 = make_family("path", 256)
+    space = ConfigurationSpace(p256, capacity=math.factorial(256))
+    rev = tuple(reversed(range(256)))
+    assert bfs_distance(space, rev, rev) == 0
+    assert reachable_in_exactly(space, rev, rev, 2)
+
+
 def test_edge_mode_matches_direct_edge_flips(brute_edge_distances):
     for g in (make_family("path", 4), make_family("star", 4),
               make_family("cycle", 4), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])):
@@ -214,17 +230,22 @@ def reference_search(space, src):
 
 
 def test_search_matches_reference_bfs():
-    # discovery order, depths, level sizes and the stored flips, which must be
-    # the edge tuples of space.base.edges themselves
+    # discovery order, depths, level sizes, point queries and the stored
+    # flips, which must be the edge tuples of space.base.edges themselves;
+    # distance_map keys are labeling tuples of ints
     c5 = make_family("cycle", 5)
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     spaces = [ConfigurationSpace(Graph(1, [])), ConfigurationSpace(make_family("path", 2)),
               ConfigurationSpace(make_family("path", 5)), ConfigurationSpace(c5),
               ConfigurationSpace(make_family("star", 5)),
               ConfigurationSpace(make_family("path", 6), mode="edge"),
               ConfigurationSpace(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4),
                                            (2, 5)]), privileged=[5]),
-              ConfigurationSpace(c5, privileged=[3, 4])]
+              ConfigurationSpace(c5, privileged=[3, 4]),
+              ConfigurationSpace(make_family("cycle", 6), privileged=[0, 3]),
+              ConfigurationSpace(two_triangles)]
     rng = random.Random(5)
+    unreachable = 0
     for space in spaces:
         n = space.positions
         for src in (identity_labeling(n), tuple(rng.sample(range(n), n))):
@@ -233,9 +254,19 @@ def test_search_matches_reference_bfs():
             for state, edge in parent.items():
                 before = state if edge is None else apply_vertex_flip(space.base, state, edge)
                 depth[state] = 0 if edge is None else depth[before] + 1
-            assert list(distance_map(space, src).items()) == list(depth.items())
+            got_map = distance_map(space, src)
+            assert list(got_map.items()) == list(depth.items())
+            assert all(type(state) is tuple and all(type(x) is int for x in state)
+                       for state in got_map)
             assert distance_distribution(space, src) == dict(enumerate(sizes))
-            for dst in parent:
+            assert diameter(space, src) == len(sizes) - 1
+            for dst in itertools.permutations(range(n)):
+                if dst not in parent:
+                    assert bfs_distance(space, src, dst) is None
+                    assert shortest_flip_sequence(space, src, dst) is None
+                    assert not reachable_in_exactly(space, src, dst, n)
+                    unreachable += 1
+                    continue
                 want = []
                 state = dst
                 while parent[state] is not None:
@@ -244,3 +275,7 @@ def test_search_matches_reference_bfs():
                 got = shortest_flip_sequence(space, src, dst)
                 assert got == want[::-1]
                 assert all(any(f is e for e in space.base.edges) for f in got)
+                assert bfs_distance(space, src, dst) == depth[dst]
+                assert reachable_in_exactly(space, src, dst, depth[dst])
+                assert not reachable_in_exactly(space, src, dst, depth[dst] + 1)
+    assert unreachable

@@ -186,10 +186,24 @@ def test_distance_rejects_what_no_method_answers():
             distance(g, ident, ident, method)
     with pytest.raises(ValueError, match="method must be one of"):
         distance(p4, ident, ident, "astar")
+    # on a disconnected graph BFS (bfs, and auto within capacity) gives the
+    # oracle's distance for every target in the source's component and
+    # refuses every other target; the tree bound, and auto past capacity,
+    # need a connected graph
     two_edges = Graph(4, [(0, 1), (2, 3)])
-    for method in ("auto", "bfs", "tree-bound"):
+    dist = distance_map(ConfigurationSpace(two_edges), ident)
+    assert len(dist) == 4 and dist[(1, 0, 3, 2)] == 2
+    for b in itertools.permutations(range(4)):
+        for method in ("auto", "bfs"):
+            if b in dist:
+                assert distance(two_edges, ident, b, method) == (dist[b], True, "bfs")
+            else:
+                with pytest.raises(ValueError, match="different components"):
+                    distance(two_edges, ident, b, method)
         with pytest.raises(ValueError, match="not connected"):
-            distance(two_edges, ident, ident, method)
+            distance(two_edges, ident, b, "tree-bound")
+        with pytest.raises(ValueError, match="not connected"):
+            distance(two_edges, ident, b, "auto", capacity=23)
     # a long labeling is refused, not truncated by the path or star reorder
     applies = {"auto": p4, "path": p4, "star": make_family("star", 4), "bfs": k4,
                "tree-bound": k4}
