@@ -4,12 +4,13 @@ A vertex labeling of a graph on n vertices is a bijection onto
 {0, ..., n-1} stored as a sequence: labels[v] is the label held by
 vertex v.  An edge labeling is the same over the graph's edge list.
 A vertex flip swaps the labels across an edge; an edge flip swaps the
-labels of two edges sharing an endpoint.
+labels of two edges sharing an endpoint.  A sequence of flips replays
+in O(n + flips) time, swapping in place in one list.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import Graph
 from .perm import compose, inverse, is_permutation, validated
@@ -36,14 +37,11 @@ def validate_edge_labeling(g: Graph, labels: Sequence[int]) -> tuple[int, ...]:
     return t
 
 
-def apply_vertex_flip(g: Graph, labels: Sequence[int], flip: Sequence[int]) -> tuple[int, ...]:
-    """Swap the labels at the endpoints of an edge."""
+def _vertex_flip(g: Graph, flip: Sequence[int]) -> tuple[int, int]:
     u, v = flip
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
-    out = list(labels)
-    out[u], out[v] = out[v], out[u]
-    return tuple(out)
+    return u, v
 
 
 def edges_share_endpoint(g: Graph, e1: int, e2: int) -> bool:
@@ -52,39 +50,58 @@ def edges_share_endpoint(g: Graph, e1: int, e2: int) -> bool:
     return e1 != e2 and bool(set(a) & set(b))
 
 
-def apply_edge_flip(g: Graph, labels: Sequence[int], flip: Sequence[int]) -> tuple[int, ...]:
-    """Swap the labels of two edges sharing an endpoint."""
+def _edge_flip(g: Graph, flip: Sequence[int]) -> tuple[int, int]:
     e1, e2 = flip
     if not (0 <= e1 < g.m and 0 <= e2 < g.m):
         raise ValueError(f"edge index out of range: ({e1},{e2})")
     if not edges_share_endpoint(g, e1, e2):
         raise ValueError(f"edges {e1} and {e2} share no endpoint")
+    return e1, e2
+
+
+def _swapped(labels: Sequence[int], x: int, y: int) -> tuple[int, ...]:
     out = list(labels)
-    out[e1], out[e2] = out[e2], out[e1]
+    out[x], out[y] = out[y], out[x]
+    return tuple(out)
+
+
+def apply_vertex_flip(g: Graph, labels: Sequence[int], flip: Sequence[int]) -> tuple[int, ...]:
+    """Swap the labels at the endpoints of an edge."""
+    return _swapped(labels, *_vertex_flip(g, flip))
+
+
+def apply_edge_flip(g: Graph, labels: Sequence[int], flip: Sequence[int]) -> tuple[int, ...]:
+    """Swap the labels of two edges sharing an endpoint."""
+    return _swapped(labels, *_edge_flip(g, flip))
+
+
+def _apply_sequence(check: Callable[[Graph, Sequence[int]], tuple[int, int]], g: Graph,
+                    labels: Sequence[int], flips: Iterable[Sequence[int]]
+                    ) -> tuple[int, ...]:
+    out = list(labels)
+    for i, flip in enumerate(flips):
+        try:
+            x, y = check(g, flip)
+        except ValueError as err:
+            raise ValueError(f"flip {i}: {err}") from None
+        out[x], out[y] = out[y], out[x]
     return tuple(out)
 
 
 def apply_vertex_sequence(g: Graph, labels: Sequence[int],
-                          flips: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Left-to-right fold of apply_vertex_flip."""
-    cur = tuple(labels)
-    for i, flip in enumerate(flips):
-        try:
-            cur = apply_vertex_flip(g, cur, flip)
-        except ValueError as err:
-            raise ValueError(f"flip {i}: {err}") from None
-    return cur
+                          flips: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Left-to-right fold of apply_vertex_flip, in O(n + flips) time.
+
+    The flips swap in place in one list; the first illegal flip raises
+    ValueError("flip i: ...") with apply_vertex_flip's message.
+    """
+    return _apply_sequence(_vertex_flip, g, labels, flips)
 
 
 def apply_edge_sequence(g: Graph, labels: Sequence[int],
-                        flips: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    cur = tuple(labels)
-    for i, flip in enumerate(flips):
-        try:
-            cur = apply_edge_flip(g, cur, flip)
-        except ValueError as err:
-            raise ValueError(f"flip {i}: {err}") from None
-    return cur
+                        flips: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Left-to-right fold of apply_edge_flip, as apply_vertex_sequence."""
+    return _apply_sequence(_edge_flip, g, labels, flips)
 
 
 def relative_permutation(labels: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:

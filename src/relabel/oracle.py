@@ -225,12 +225,15 @@ class ComponentSummary(NamedTuple):
 
 def component(space: ConfigurationSpace, frm: Sequence[int],
               cap: int | None = None) -> ComponentSummary:
-    """Size of the reachable set from frm, with up to cap states listed."""
+    """Size of the reachable set from frm, with up to cap states listed.
+
+    Without cap the size is read from the search; no key turns back into
+    a labeling.
+    """
+    if cap is None:
+        return ComponentSummary(len(_search(space, *_keys(space, frm))[0]), None)
     dist = distance_map(space, frm)
-    states = None
-    if cap is not None:
-        states = tuple(sorted(dist.keys())[:cap])
-    return ComponentSummary(len(dist), states)
+    return ComponentSummary(len(dist), tuple(sorted(dist)[:cap]))
 
 
 def diameter(space: ConfigurationSpace, frm: Sequence[int] | None = None) -> int:

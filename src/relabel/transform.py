@@ -4,7 +4,9 @@ The constructive transformation routes labels home one vertex at a time
 along a spanning tree, in leaf elimination order, never touching vertices
 already completed; it uses at most n(n-1)/2 flips.  Placing the labels
 takes O(n + flips) time and O(n) memory, on top of building the BFS
-spanning tree, O(n + m), and its leaf order, O(n log n).  The exact
+spanning tree, O(n + m), and its leaf order, O(n log n).  Each flip is
+its tree edge's one shared tuple, so a sequence costs 8 bytes a flip,
+and the tree-bound distance only sums step lengths.  The exact
 minimum for small graphs comes from the BFS oracle.
 
 ``distance`` is the only place that chooses how a distance query is
@@ -41,44 +43,55 @@ def _transform_steps(g: Graph, labels: Sequence[int], target: Sequence[int]
     Every residual tree holds the last vertex of the elimination order, so
     rooted there, a vertex's parent is its one neighbor eliminated later,
     and a holder-to-v path is found by climbing from whichever end is
-    eliminated first until the two ends meet.
+    eliminated first until the two ends meet.  The flip across a tree
+    edge is that edge's own tuple in tree.edges, shared by every step
+    that crosses it; the label bound for v moves by one rotation of the
+    labels along the path.
     """
     frm = validate_vertex_labeling(g, labels)
     to = validate_vertex_labeling(g, target)
     tree = spanning_tree(g)
     order = prufer_elimination_order(tree)
     rank = inverse(order)
-    # the root's entry is never read: no climb passes the last-eliminated vertex
-    parent = [max(tree.adjacency[x], key=rank.__getitem__, default=x)
-              for x in range(tree.n)]
+    # the root's entries are never read: no climb passes the last-eliminated vertex
+    parent = list(range(tree.n))
+    up_edge: list[tuple[int, ...]] = [()] * tree.n
+    for edge in tree.edges:
+        x, y = sorted(edge, key=rank.__getitem__)
+        parent[x], up_edge[x] = y, edge
     cur = list(frm)
     where = list(inverse(frm))
     for v in order[:-1]:
-        flips: list[tuple[int, int]] = []
-        holder = where[to[v]]
-        if holder != v:
-            a, b = holder, v
-            up, down = [a], [b]
-            while a != b:
-                if rank[a] < rank[b]:
-                    a = parent[a]
-                    up.append(a)
-                else:
-                    b = parent[b]
-                    down.append(b)
-            path = up + down[-2::-1]
-            for a, b in zip(path, path[1:]):
-                flips.append((a, b) if a < b else (b, a))
-                la, lb = cur[a], cur[b]
-                cur[a], cur[b] = lb, la
-                where[la], where[lb] = b, a
+        a, b = where[to[v]], v
+        up: list[int] = []
+        down: list[int] = []
+        while a != b:
+            if rank[a] < rank[b]:
+                up.append(a)
+                a = parent[a]
+            else:
+                down.append(b)
+                b = parent[b]
+        down.reverse()
+        # the path is up, the meeting vertex, then down: the holder's label
+        # moves to v and every other label on it one vertex back
+        path = up + [a] + down
+        for x, label in zip(path, [cur[x] for x in path[1:]] + [to[v]]):
+            cur[x] = label
+            where[label] = x
+        flips = list(map(up_edge.__getitem__, up))
+        flips += map(up_edge.__getitem__, down)
         yield v, flips
     assert cur == list(to)
 
 
 def spanning_tree_transform(g: Graph, labels: Sequence[int],
                             target: Sequence[int]) -> list[tuple[int, int]]:
-    """A flip sequence from labels to target of length at most n(n-1)/2."""
+    """A flip sequence from labels to target of length at most n(n-1)/2.
+
+    Each flip is the spanning tree's own edge tuple, shared by every flip
+    across that edge, so the list costs 8 bytes a flip.
+    """
     flips: list[tuple[int, int]] = []
     for _, step in _transform_steps(g, labels, target):
         flips.extend(step)
@@ -155,7 +168,9 @@ def distance(g: Graph, labels: Sequence[int], target: Sequence[int],
             return Distance(d, True, "bfs")
     if not is_connected(g):
         raise ValueError("graph is not connected")
-    return Distance(len(spanning_tree_transform(g, labels, target)), False, "tree-bound")
+    # the sequence's length, one step at a time: O(n) memory
+    steps = _transform_steps(g, labels, target)
+    return Distance(sum(len(step) for _, step in steps), False, "tree-bound")
 
 
 def exact_t_feasible(g: Graph, labels: Sequence[int], target: Sequence[int],
@@ -164,8 +179,9 @@ def exact_t_feasible(g: Graph, labels: Sequence[int], target: Sequence[int],
 
     Feasible exactly when t is at least the BFS distance and of the same
     parity, and a distance of 0 < t finds an edge to flip; the distance
-    parity equals the relative permutation's parity.
+    parity equals the relative permutation's parity.  A target in another
+    component (on a disconnected graph) is infeasible for every t.
     """
-    d = distance(g, labels, target, "bfs", capacity).distance
-    assert d % 2 == parity(relative_permutation(labels, target))
+    d = bfs_distance(ConfigurationSpace(g, capacity=capacity), labels, target)
+    assert d is None or d % 2 == parity(relative_permutation(labels, target))
     return exact_t_rule(d, t, g.m > 0)

@@ -54,6 +54,75 @@ def test_edge_flips():
     assert apply_edge_sequence(p4, (0, 1, 2), [(0, 1), (1, 2)]) == (1, 2, 0)
 
 
+def _fold_vertex(g, labels, flips):
+    # reference: the per-flip fold, copying the labeling at every flip
+    cur = tuple(labels)
+    for i, flip in enumerate(flips):
+        try:
+            u, v = flip
+            if not g.has_edge(u, v):
+                raise ValueError(f"({u},{v}) is not an edge")
+        except ValueError as err:
+            raise ValueError(f"flip {i}: {err}") from None
+        out = list(cur)
+        out[u], out[v] = out[v], out[u]
+        cur = tuple(out)
+    return cur
+
+
+def _fold_edge(g, labels, flips):
+    cur = tuple(labels)
+    for i, flip in enumerate(flips):
+        try:
+            e1, e2 = flip
+            if not (0 <= e1 < g.m and 0 <= e2 < g.m):
+                raise ValueError(f"edge index out of range: ({e1},{e2})")
+            if e1 == e2 or not set(g.edges[e1]) & set(g.edges[e2]):
+                raise ValueError(f"edges {e1} and {e2} share no endpoint")
+        except ValueError as err:
+            raise ValueError(f"flip {i}: {err}") from None
+        out = list(cur)
+        out[e1], out[e2] = out[e2], out[e1]
+        cur = tuple(out)
+    return cur
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def test_sequences_match_the_per_flip_fold():
+    # the in-place replay returns what the per-flip fold returns, and at an
+    # injected illegal flip raises the same message
+    rng = random.Random(61)
+    for trial in range(300):
+        n = rng.randint(2, 9)
+        g = make_family("random_connected", n, seed=trial)
+        pairs = [(a, b) for a in range(g.m) for b in range(g.m)
+                 if a != b and set(g.edges[a]) & set(g.edges[b])]
+        cases = [(apply_vertex_sequence, _fold_vertex, g.n, list(g.edges),
+                  [(0, n), (-1, 0), (0,), (0, 1, 2)]
+                  + [(u, v) for u in range(n) for v in range(n) if not g.has_edge(u, v)]),
+                 (apply_edge_sequence, _fold_edge, g.m, pairs,
+                  [(0, g.m), (-1, 0), (0, 0), (1,)]
+                  + [(a, b) for a in range(g.m) for b in range(g.m)
+                     if not set(g.edges[a]) & set(g.edges[b])])]
+        for apply, fold, size, legal, illegal in cases:
+            if not legal:
+                continue
+            labels = tuple(rng.sample(range(size), size))
+            flips = [rng.choice(legal)[::rng.choice((1, -1))]
+                     for _ in range(rng.randint(0, 40))]
+            assert apply(g, labels, flips) == fold(g, labels, flips)
+            flips.insert(rng.randint(0, len(flips)), rng.choice(illegal))
+            expected = _outcome(fold, g, labels, flips)
+            assert expected.startswith("flip ")
+            assert _outcome(apply, g, labels, flips) == expected
+
+
 def test_relative_permutation_examples():
     lab = (2, 0, 1)
     assert relative_permutation(lab, lab) == identity(3)

@@ -109,6 +109,24 @@ def test_component_cap():
     assert summary.size == 6 and len(summary.states) == 2
 
 
+def test_component_size_is_the_distance_map_size():
+    grid = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7),
+                     (0, 4), (1, 5), (2, 6), (3, 7)])
+    rng = random.Random(71)
+    for space in (ConfigurationSpace(make_family("cycle", 6)),
+                  ConfigurationSpace(Graph(5, [(0, 1), (2, 3), (3, 4)])),
+                  ConfigurationSpace(make_family("star", 5), mode="edge"),
+                  ConfigurationSpace(make_family("path", 6), mode="edge"),
+                  ConfigurationSpace(make_family("path", 6), privileged=[2]),
+                  ConfigurationSpace(make_family("star", 6), privileged=[0, 3]),
+                  ConfigurationSpace(grid, privileged=[7])):
+        n = space.positions
+        frm = tuple(rng.sample(range(n), n))
+        dist = distance_map(space, frm)
+        assert component(space, frm) == (len(dist), None)
+        assert component(space, frm, cap=5) == (len(dist), tuple(sorted(dist)[:5]))
+
+
 def test_diameter_and_distribution():
     assert diameter(ConfigurationSpace(make_family("star", 4))) == 4
     assert diameter(ConfigurationSpace(make_family("path", 4))) == 6

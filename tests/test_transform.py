@@ -127,6 +127,29 @@ def test_transform_steps_match_residual_bfs_reference():
                 assert at == v and cur[v] == b[v]
 
 
+def test_transform_shares_one_tuple_per_tree_edge():
+    # every flip across a tree edge is the same tuple object
+    rng = random.Random(59)
+    for g in (make_family("path", 200), make_family("star", 200),
+              make_family("random_connected", 200, seed=3)):
+        a = tuple(rng.sample(range(g.n), g.n))
+        b = tuple(rng.sample(range(g.n), g.n))
+        flips = spanning_tree_transform(g, a, b)
+        assert len(flips) > g.n and apply_vertex_sequence(g, a, flips) == b
+        assert len({id(f) for f in flips}) <= g.n - 1
+
+
+def test_tree_bound_is_the_transform_length_past_capacity():
+    rng = random.Random(67)
+    for g in (make_family("random_connected", 40, seed=8), make_family("grid", 6),
+              make_family("cycle", 30), make_family("complete", 12)):
+        a = tuple(rng.sample(range(g.n), g.n))
+        b = tuple(rng.sample(range(g.n), g.n))
+        for method in ("auto", "tree-bound"):
+            assert distance(g, a, b, method) == \
+                (len(spanning_tree_transform(g, a, b)), False, "tree-bound")
+
+
 def test_upper_bound_values():
     assert distance_upper_bound(make_family("path", 5)) == 10
     assert distance_upper_bound(make_family("path", 5), mode="edge") == 6
@@ -155,6 +178,19 @@ def test_exact_t_feasible():
     for t in range(4):
         assert exact_t_feasible(p1, (0,), (0,), t) == \
             reachable_in_exactly(space, (0,), (0,), t) == (t == 0)
+
+
+def test_exact_t_feasible_agrees_with_the_oracle_on_a_disconnected_graph():
+    # both answer False for a target in another component, for every t
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    space = ConfigurationSpace(two_edges)
+    ident = identity_labeling(4)
+    for a in ((2, 1, 0, 3), (1, 0, 2, 3), (1, 0, 3, 2), ident):
+        for t in range(5):
+            assert exact_t_feasible(two_edges, a, ident, t) == \
+                reachable_in_exactly(space, a, ident, t)
+    assert not any(exact_t_feasible(two_edges, (2, 1, 0, 3), ident, t) for t in range(5))
+    assert exact_t_feasible(two_edges, (1, 0, 3, 2), ident, 2)
 
 
 def test_p_g_agrees_with_closed_forms():
