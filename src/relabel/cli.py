@@ -44,7 +44,7 @@ _SHIFTED_KEYS = {"edges", "labels", "edge_labels", "flips", "privileged", "witne
 def _one_based(obj: Any, shift: bool = False) -> Any:
     if isinstance(obj, dict):
         return {k: _one_based(v, shift or k in _SHIFTED_KEYS) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_one_based(x, shift) for x in obj]
     if isinstance(obj, int) and shift:
         return obj + 1
@@ -140,7 +140,7 @@ def _cmd_solvable(args: argparse.Namespace) -> tuple[Any, int]:
     out = {
         "answer": answer,
         "method": method,
-        "witness": [list(f) for f in witness] if witness is not None else None,
+        "witness": witness,
     }
     return out, 0 if answer == "yes" else 1
 

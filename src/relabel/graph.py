@@ -33,7 +33,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in index:
                 raise ValueError(f"duplicate edge {key}")
             index[key] = len(normalized)
@@ -55,12 +55,12 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_index
+        return ((u, v) if u < v else (v, u)) in self._edge_index
 
     def edge_index(self, u: int, v: int) -> int:
         """Index of edge {u, v} in the edge list."""
         try:
-            return self._edge_index[(min(u, v), max(u, v))]
+            return self._edge_index[(u, v) if u < v else (v, u)]
         except KeyError:
             raise ValueError(f"({u},{v}) is not an edge") from None
 

@@ -69,7 +69,9 @@ def board_from_json(obj: Any) -> tuple[int, ...]:
 
 
 def flip_sequence_to_json(flips: Sequence[Sequence[int]], kind: str = "vertex") -> dict:
-    out: dict = {"flips": [list(f) for f in flips]}
+    """The sequence as JSON; "flips" holds the flips given, not a copy, and
+    json writes each flip tuple as an array."""
+    out: dict = {"flips": flips}
     if kind == "edge":
         out["kind"] = "edge"
     return out

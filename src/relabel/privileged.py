@@ -26,15 +26,14 @@ from .graph import (
     make_family,
     path_vertex_order,
     spanning_tree_not_path,
-    tree_path,
 )
 from .labeling import (
-    apply_vertex_sequence,
     edges_share_endpoint,
     validate_edge_labeling,
     validate_vertex_labeling,
 )
 from .oracle import CAPACITY_LIMIT, ConfigurationSpace, shortest_flip_sequence
+from .perm import inverse
 from .transform import spanning_tree_transform
 
 
@@ -132,24 +131,62 @@ def sw_swap(tree: Graph, u: int, v: int, labels: Sequence[int],
     """
     if not is_tree(tree):
         raise ValueError("sw_swap needs a tree")
-    return _sw_swap(tree, u, v, labels, privileged)
+    if not (0 <= u < tree.n and 0 <= v < tree.n):
+        raise ValueError(f"vertices {u} and {v} must lie in 0..{tree.n - 1}")
+    return _sw_swap(_rooted(tree), u, v, labels, privileged)
 
 
-def _sw_swap(tree: Graph, u: int, v: int, labels: Sequence[int],
-             privileged: frozenset[int] | set[int]) -> list[tuple[int, int]]:
-    # sw_swap on a graph already known to be a tree
+class _Rooted(NamedTuple):
+    tree: Graph
+    parent: list[int]
+    depth: list[int]
+    up_edge: list[tuple[int, ...]]   # each vertex's own edge tuple to its parent
+
+
+def _rooted(tree: Graph) -> _Rooted:
+    # the tree rooted at vertex 0, by one BFS
+    parent, depth = [-1] * tree.n, [0] * tree.n
+    order = [0]
+    for x in order:
+        for y in tree.adjacency[x]:
+            if y != parent[x]:
+                parent[y], depth[y] = x, depth[x] + 1
+                order.append(y)
+    up_edge: list[tuple[int, ...]] = [()] * tree.n
+    for edge in tree.edges:
+        x, y = edge
+        up_edge[x if parent[x] == y else y] = edge
+    return _Rooted(tree, parent, depth, up_edge)
+
+
+def _tree_path(rt: _Rooted, u: int, v: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    # the u-v path's vertices and its edges in order, by climbing the
+    # deeper end until the two ends meet: O(path)
+    parent, depth = rt.parent, rt.depth
+    up: list[int] = []
+    down: list[int] = []
+    while u != v:
+        if depth[u] >= depth[v]:
+            up.append(u)
+            u = parent[u]
+        else:
+            down.append(v)
+            v = parent[v]
+    down.reverse()
+    return up + [u] + down, [rt.up_edge[x] for x in up + down]
+
+
+def _sw_swap(rt: _Rooted, u: int, v: int, labels: Sequence[int],
+             privileged: frozenset[int] | set[int]) -> list[tuple[int, ...]]:
+    # sw_swap on a tree already rooted: the path's edges down and back
     if u == v:
         return []
-    path = tree_path(tree, u, v)
+    path, edges = _tree_path(rt, u, v)
     off_limits = sum(1 for x in path if labels[x] not in privileged)
     if off_limits > 1:
         raise ValueError(
             f"{off_limits} non-privileged labels on the {u}-{v} path; at most one allowed")
-    down = list(zip(path, path[1:]))
-    up = list(zip(path[-3::-1], path[-2::-1]))
-    flips = [(min(a, b), max(a, b)) for a, b in down + up]
-    assert len(flips) == 2 * (len(path) - 1) - 1
-    return flips
+    return edges + edges[-2::-1]
 
 
 def _farthest_avoiding(tree: Graph, src: int, banned: int) -> int:
@@ -168,39 +205,37 @@ def _farthest_avoiding(tree: Graph, src: int, banned: int) -> int:
     return min(x for x, d in dist.items() if d == far)
 
 
-def _maximal_path_through(tree: Graph, u: int, v: int) -> list[int]:
+def _maximal_path_through(rt: _Rooted, u: int, v: int) -> list[int]:
     # longest tree path containing the u-v path as a sub-path
-    path = tree_path(tree, u, v)
-    u_end = _farthest_avoiding(tree, u, path[1])
-    v_end = _farthest_avoiding(tree, v, path[-2])
-    return tree_path(tree, u_end, u)[:-1] + path + tree_path(tree, v, v_end)[1:]
+    path = _tree_path(rt, u, v)[0]
+    u_end = _farthest_avoiding(rt.tree, u, path[1])
+    v_end = _farthest_avoiding(rt.tree, v, path[-2])
+    return _tree_path(rt, u_end, u)[0][:-1] + path + _tree_path(rt, v, v_end)[0][1:]
 
 
-def _run_sw_plan(tree: Graph, plan: Sequence[tuple[int, int]],
-                 labels: Sequence[int],
-                 privileged: frozenset[int]) -> list[tuple[int, int]]:
-    cur = tuple(labels)
-    flips: list[tuple[int, int]] = []
+def _run_sw_plan(rt: _Rooted, plan: Sequence[tuple[int, int]], cur: list[int],
+                 privileged: frozenset[int]) -> list[tuple[int, ...]]:
+    # the SWs in turn, each transposing its two ends in cur
+    flips: list[tuple[int, ...]] = []
     for a, b in plan:
-        if a == b:
-            continue
-        step = _sw_swap(tree, a, b, cur, privileged)
-        flips.extend(step)
-        cur = apply_vertex_sequence(tree, cur, step)
+        if a != b:
+            flips += _sw_swap(rt, a, b, cur, privileged)
+            cur[a], cur[b] = cur[b], cur[a]
     return flips
 
 
-def _swap_both_nonpriv(tree: Graph, u: int, v: int, labels: Sequence[int],
-                       privileged: frozenset[int]) -> list[tuple[int, int]]:
+def _swap_both_nonpriv(rt: _Rooted, u: int, v: int, cur: list[int],
+                       privileged: frozenset[int]) -> list[tuple[int, ...]]:
     # both non-privileged labels sit at u and v: run the staged SW
     # composition through a maximal path and an off-path branch neighbor
-    pstar = _maximal_path_through(tree, u, v)
-    w = min(x for x in pstar[1:-1] if tree.degree(x) >= 3)
-    w_off = min(y for y in tree.adjacency[w] if y not in set(pstar))
+    pstar = _maximal_path_through(rt, u, v)
+    on_pstar = set(pstar)
+    w = min(x for x in pstar[1:-1] if rt.tree.degree(x) >= 3)
+    w_off = min(y for y in rt.tree.adjacency[w] if y not in on_pstar)
     u_end, v_end = pstar[0], pstar[-1]
     plan = [(u, u_end), (v, v_end), (u_end, w_off), (u_end, v_end),
             (v_end, w_off), (u, u_end), (v, v_end)]
-    return _run_sw_plan(tree, plan, labels, privileged)
+    return _run_sw_plan(rt, plan, cur, privileged)
 
 
 def tree_swap_sequence(tree: Graph, u: int, v: int, labels: Sequence[int],
@@ -219,40 +254,40 @@ def tree_swap_sequence(tree: Graph, u: int, v: int, labels: Sequence[int],
         raise ValueError("tree_swap_sequence needs a tree")
     if is_path(tree):
         raise ValueError("tree must not be a path")
-    if u == v:
-        raise ValueError("u and v must differ")
+    if u == v or not (0 <= u < tree.n and 0 <= v < tree.n):
+        raise ValueError(f"u and v must be two vertices in 0..{tree.n - 1}, got {u} and {v}")
     labels = validate_vertex_labeling(tree, labels)
     nonpriv = [x for x in range(tree.n) if labels[x] not in privileged]
     if len(nonpriv) != 2:
         raise ValueError(f"exactly two non-privileged labels required, found {len(nonpriv)}")
-    return _tree_swap(tree, u, v, labels, privileged, nonpriv)
+    return _tree_swap(_rooted(tree), u, v, list(labels), privileged, nonpriv)
 
 
-def _tree_swap(tree: Graph, u: int, v: int, labels: Sequence[int],
+def _tree_swap(rt: _Rooted, u: int, v: int, cur: list[int],
                privileged: frozenset[int], nonpriv: Sequence[int]
-               ) -> list[tuple[int, int]]:
+               ) -> list[tuple[int, ...]]:
     # tree_swap_sequence on arguments it has checked: a non-path tree,
-    # u != v, and nonpriv the two vertices holding non-privileged labels
-    path = tree_path(tree, u, v)
+    # u != v, and nonpriv the two vertices holding non-privileged labels;
+    # transposes the labels at u and v in cur
+    path = _tree_path(rt, u, v)[0]
     on_path = [x for x in nonpriv if x in set(path)]
     if len(on_path) <= 1:
-        return _sw_swap(tree, u, v, labels, privileged)
+        return _run_sw_plan(rt, [(u, v)], cur, privileged)
 
-    if labels[u] not in privileged and labels[v] not in privileged:
-        return _swap_both_nonpriv(tree, u, v, labels, privileged)
+    if cur[u] not in privileged and cur[v] not in privileged:
+        return _swap_both_nonpriv(rt, u, v, cur, privileged)
 
     # both blockers on the path, at least one of u, v privileged
     pos = {p: i for i, p in enumerate(path)}
     x, y = sorted(on_path, key=pos.__getitem__)
     if x != u and y != v:
-        return _run_sw_plan(tree, [(u, x), (x, v), (u, x)], labels, privileged)
+        return _run_sw_plan(rt, [(u, x), (x, v), (u, x)], cur, privileged)
     # a blocker at one endpoint: two SWs leave the blockers at a vertex
     # pair, which the endpoint composition then transposes
     head = [(y, v), (u, y)] if x == u else [(u, x), (x, v)]
     pair = (y, v) if x == u else (u, x)
-    flips = _run_sw_plan(tree, head, labels, privileged)
-    cur = apply_vertex_sequence(tree, labels, flips)
-    return flips + _swap_both_nonpriv(tree, pair[0], pair[1], cur, privileged)
+    flips = _run_sw_plan(rt, head, cur, privileged)
+    return flips + _swap_both_nonpriv(rt, pair[0], pair[1], cur, privileged)
 
 
 def solvable(inst: PrivilegedInstance) -> Solvability:
@@ -332,6 +367,12 @@ def privileged_transform(inst: PrivilegedInstance,
     BFS oracle.  Edge instances are solved on the line graph, where the
     flips are edge flips.  Raises UnsolvableError when no sequence exists.
     Length is not minimized.
+
+    With two non-privileged labels on trees and cycles this takes
+    O(n + flips) time after building the spanning tree, plus an O(n)
+    search each time the two non-privileged labels trade places.  Every
+    flip is the spanning tree's or cycle's own edge tuple, shared by
+    every flip across that edge.
     """
     if inst.kind == "edge":
         inst = _line_graph_instance(inst)
@@ -358,48 +399,49 @@ def privileged_transform(inst: PrivilegedInstance,
         return _cycle_transform(g, frm, to, inst.privileged)
     # a non-path spanning tree by construction, and cur always holds the
     # instance's two non-privileged labels: the unchecked swap applies
-    tree = spanning_tree_not_path(g)
-    cur = frm
+    rt = _rooted(spanning_tree_not_path(g))
+    cur = list(frm)
+    where = list(inverse(frm))
+    a_lab, b_lab = nonpriv
     flips: list[tuple[int, int]] = []
     for v in range(g.n):
         if cur[v] != to[v]:
-            u = cur.index(to[v])
-            nonpriv_at = [x for x in range(g.n) if cur[x] not in inst.privileged]
-            step = _tree_swap(tree, u, v, cur, inst.privileged, nonpriv_at)
-            flips.extend(step)
-            cur = apply_vertex_sequence(tree, cur, step)
-    assert cur == to
+            u = where[to[v]]
+            flips += _tree_swap(rt, u, v, cur, inst.privileged, (where[a_lab], where[b_lab]))
+            where[cur[u]], where[cur[v]] = u, v
+    assert cur == list(to)
     return flips
 
 
 def _cycle_transform(g: Graph, frm: tuple[int, ...], to: tuple[int, ...],
                      privileged: frozenset[int]) -> list[tuple[int, int]]:
+    # works on slots, the positions along cycle_vertex_order
     n = g.n
     order = cycle_vertex_order(g)
-    slot_of_vertex = {v: i for i, v in enumerate(order)}
-    cur = list(frm)
+    # the graph's own tuple for the edge from slot s to slot s + 1
+    edge = [g.edges[g.edge_index(order[s], order[(s + 1) % n])] for s in range(n)]
+    at, goal = [frm[v] for v in order], [to[v] for v in order]
+    slot_of, home = list(inverse(at)), inverse(goal)
     flips: list[tuple[int, int]] = []
 
     def do_flip(i: int, j: int) -> None:
-        a, b = order[i % n], order[j % n]
-        flips.append((min(a, b), max(a, b)))
-        cur[a], cur[b] = cur[b], cur[a]
+        # i and j are adjacent slots, taken mod n
+        i, j = i % n, j % n
+        flips.append(edge[i] if j == (i + 1) % n else edge[j])
+        at[i], at[j] = at[j], at[i]
+        slot_of[at[i]], slot_of[at[j]] = i, j
 
-    def slot_of(lab: int) -> int:
-        return slot_of_vertex[cur.index(lab)]
-
-    home = {to[v]: i for i, v in enumerate(order)}
     a_lab, b_lab = [lab for lab in range(n) if lab not in privileged]
 
     # nudge b off a's home slot; the far neighbor's label is privileged
-    if slot_of(b_lab) == home[a_lab]:
-        s = slot_of(b_lab)
-        step = 1 if cur[order[(s + 1) % n]] != a_lab else -1
+    if slot_of[b_lab] == home[a_lab]:
+        s = slot_of[b_lab]
+        step = 1 if at[(s + 1) % n] != a_lab else -1
         do_flip(s, s + step)
 
     def route(lab: int, dest: int, avoid: int) -> None:
         # walk lab around the cycle to slot dest, on the side missing avoid
-        s = slot_of(lab)
+        s = slot_of[lab]
         if s == dest:
             return
         fwd = (dest - s) % n
@@ -408,43 +450,43 @@ def _cycle_transform(g: Graph, frm: tuple[int, ...], to: tuple[int, ...],
             do_flip(s, s + step)
             s = (s + step) % n
 
-    route(a_lab, home[a_lab], slot_of(b_lab))
+    route(a_lab, home[a_lab], slot_of[b_lab])
     route(b_lab, home[b_lab], home[a_lab])
 
     ha, hb = home[a_lab], home[b_lab]
-    arc1 = [(ha + k) % n for k in range(1, (hb - ha) % n)]
-    arc2 = [(hb + k) % n for k in range(1, (ha - hb) % n)]
-    set1 = set(arc1)
+    len1, len2 = (hb - ha) % n - 1, (ha - hb) % n - 1
+    gate1, gate2 = (ha + 1) % n, (ha - 1) % n
 
-    # exchange wrong-arc labels pairwise through the gate beside a's home
+    def in_arc1(lab: int) -> bool:
+        return (home[lab] - gate1) % n < len1
+
+    # exchange wrong-arc labels pairwise through the gate beside a's home;
+    # labels before the first wrong one in either arc stay right, so each
+    # scan resumes where the last one stopped
+    k1 = k2 = 0
     while True:
-        w1 = [cur[order[s]] for s in arc1 if home[cur[order[s]]] not in set1]
-        if not w1:
+        while k1 < len1 and in_arc1(at[(gate1 + k1) % n]):
+            k1 += 1
+        if k1 == len1:
             break
-        w2 = [cur[order[s]] for s in arc2 if home[cur[order[s]]] in set1]
-        p_lab, q_lab = w1[0], w2[0]
-        gate1, gate2 = (ha + 1) % n, (ha - 1) % n
-        s = slot_of(p_lab)
-        while s != gate1:
+        while not in_arc1(at[(hb + 1 + k2) % n]):
+            k2 += 1
+        for s in range(gate1 + k1, gate1, -1):
             do_flip(s, s - 1)
-            s = (s - 1) % n
-        s = slot_of(q_lab)
-        while s != gate2:
+        for s in range(hb + 1 + k2, hb + len2):
             do_flip(s, s + 1)
-            s = (s + 1) % n
         do_flip(ha, gate1)
         do_flip(ha, gate2)
         do_flip(ha, gate1)
 
     # place each arc's labels; only privileged labels move
-    for arc in (arc1, arc2):
-        for k in range(len(arc)):
-            want = to[order[arc[k]]]
-            j = arc.index(slot_of(want))
+    for start, length in ((gate1, len1), ((hb + 1) % n, len2)):
+        for k in range(length):
+            j = (slot_of[goal[(start + k) % n]] - start) % n
             while j > k:
-                do_flip(arc[j - 1], arc[j])
+                do_flip(start + j - 1, start + j)
                 j -= 1
-    assert cur == list(to)
+    assert at == goal
     return flips
 
 

@@ -209,6 +209,8 @@ def test_solvable_yes_with_witness(capsys, tmp_path):
     flips = [tuple(f) for f in out["witness"]]
     g = make_family("star", 4)
     assert apply_vertex_sequence(g, (3, 0, 1, 2), flips) == (0, 1, 2, 3)
+    code, one = run(capsys, "solvable", "--instance", path, "--one-based")
+    assert one["witness"] == [[u + 1, v + 1] for u, v in flips]
 
 
 def test_puzzle_and_solvable(capsys, tmp_path):
@@ -250,9 +252,17 @@ def test_oracle_edge_mode(capsys, tmp_path):
     assert code == 0 and out == {"diameter": 2}
 
 
-def test_one_based_rendering(capsys):
+def test_one_based_rendering(capsys, p4_files):
     code, out = run(capsys, "gen", "--family", "star", "--n", "4", "--one-based")
     assert out == {"edges": [[1, 2], [1, 3], [1, 4]], "n": 4}
+    # flips are emitted as the tree's edge tuples; both renderings are arrays
+    graph, rev, ident = p4_files
+    for extra, shift in (([], 0), (["--one-based"], 1)):
+        assert main(["transform", "--graph", graph, "--from", rev, "--to", ident,
+                     *extra]) == 0
+        pairs = [[2, 3], [1, 2], [0, 1], [2, 3], [1, 2], [2, 3]]
+        flips = ",".join(f"[{u + shift},{v + shift}]" for u, v in pairs)
+        assert capsys.readouterr().out == '{"flips":[' + flips + ']}\n'
 
 
 def test_usage_and_input_errors(capsys, tmp_path):

@@ -1,10 +1,25 @@
 import itertools
 import random
+import time
+from collections import Counter, deque
 
 import pytest
 
-from relabel.graph import Graph, line_graph, make_family, tree_path
-from relabel.labeling import apply_edge_sequence, apply_vertex_flip, identity_labeling
+from relabel.graph import (
+    Graph,
+    cycle_vertex_order,
+    is_path,
+    line_graph,
+    make_family,
+    spanning_tree_not_path,
+    tree_path,
+)
+from relabel.labeling import (
+    apply_edge_sequence,
+    apply_vertex_flip,
+    apply_vertex_sequence,
+    identity_labeling,
+)
 from relabel.oracle import ConfigurationSpace, component, distance_map
 from relabel.privileged import (
     PrivilegedInstance,
@@ -126,6 +141,16 @@ def test_sw_swap_rejects_two_blockers():
     labels = (0, 1, 2, 3, 4, 5, 6)
     with pytest.raises(ValueError):
         sw_swap(SPIDER, 2, 4, labels, frozenset(range(7)) - {1, 3})
+
+
+@pytest.mark.parametrize("u", [-1, 7])
+def test_swaps_reject_vertices_out_of_range(u):
+    # -1 must not index the last vertex
+    labels = (0, 1, 2, 3, 4, 5, 6)
+    with pytest.raises(ValueError, match="0..6"):
+        sw_swap(SPIDER, u, 2, labels, frozenset(range(7)))
+    with pytest.raises(ValueError, match="0..6"):
+        tree_swap_sequence(SPIDER, 2, u, labels, frozenset(range(5)))
 
 
 def test_tree_swap_sequence_cases():
@@ -349,3 +374,263 @@ def test_restricted_sequences_preserve_cycle_orientation():
         after = [cur[v] for v in order if cur[v] not in S]
         k = len(before)
         assert any(before[i:] + before[:i] == after for i in range(k))
+
+
+# The BFS-based tree transform and the cycle transform as they stood before
+# the rooted-tree rewrite, kept verbatim (plus branch counts) as references:
+# every flip sequence must stay the same.
+
+def ref_sw_swap(tree, u, v, labels, privileged):
+    if u == v:
+        return []
+    path = tree_path(tree, u, v)
+    off_limits = sum(1 for x in path if labels[x] not in privileged)
+    if off_limits > 1:
+        raise ValueError(
+            f"{off_limits} non-privileged labels on the {u}-{v} path; at most one allowed")
+    down = list(zip(path, path[1:]))
+    up = list(zip(path[-3::-1], path[-2::-1]))
+    flips = [(min(a, b), max(a, b)) for a, b in down + up]
+    assert len(flips) == 2 * (len(path) - 1) - 1
+    return flips
+
+
+def ref_farthest_avoiding(tree, src, banned):
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        for y in tree.adjacency[x]:
+            if x == src and y == banned:
+                continue
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    far = max(dist.values())
+    return min(x for x, d in dist.items() if d == far)
+
+
+def ref_maximal_path_through(tree, u, v):
+    path = tree_path(tree, u, v)
+    u_end = ref_farthest_avoiding(tree, u, path[1])
+    v_end = ref_farthest_avoiding(tree, v, path[-2])
+    return tree_path(tree, u_end, u)[:-1] + path + tree_path(tree, v, v_end)[1:]
+
+
+def ref_run_sw_plan(tree, plan, labels, privileged):
+    cur = tuple(labels)
+    flips = []
+    for a, b in plan:
+        if a == b:
+            continue
+        step = ref_sw_swap(tree, a, b, cur, privileged)
+        flips.extend(step)
+        cur = apply_vertex_sequence(tree, cur, step)
+    return flips
+
+
+def ref_swap_both_nonpriv(tree, u, v, labels, privileged):
+    pstar = ref_maximal_path_through(tree, u, v)
+    w = min(x for x in pstar[1:-1] if tree.degree(x) >= 3)
+    w_off = min(y for y in tree.adjacency[w] if y not in set(pstar))
+    u_end, v_end = pstar[0], pstar[-1]
+    plan = [(u, u_end), (v, v_end), (u_end, w_off), (u_end, v_end),
+            (v_end, w_off), (u, u_end), (v, v_end)]
+    return ref_run_sw_plan(tree, plan, labels, privileged)
+
+
+def ref_tree_swap(tree, u, v, labels, privileged, nonpriv, hits):
+    path = tree_path(tree, u, v)
+    on_path = [x for x in nonpriv if x in set(path)]
+    if len(on_path) <= 1:
+        hits["one sw"] += 1
+        return ref_sw_swap(tree, u, v, labels, privileged)
+
+    if labels[u] not in privileged and labels[v] not in privileged:
+        hits["both at the ends"] += 1
+        return ref_swap_both_nonpriv(tree, u, v, labels, privileged)
+
+    pos = {p: i for i, p in enumerate(path)}
+    x, y = sorted(on_path, key=pos.__getitem__)
+    if x != u and y != v:
+        hits["blockers inside"] += 1
+        return ref_run_sw_plan(tree, [(u, x), (x, v), (u, x)], labels, privileged)
+    hits["blocker at an end"] += 1
+    head = [(y, v), (u, y)] if x == u else [(u, x), (x, v)]
+    pair = (y, v) if x == u else (u, x)
+    flips = ref_run_sw_plan(tree, head, labels, privileged)
+    cur = apply_vertex_sequence(tree, labels, flips)
+    return flips + ref_swap_both_nonpriv(tree, pair[0], pair[1], cur, privileged)
+
+
+def ref_tree_transform(inst, hits):
+    g, to = inst.graph, inst.to_labels
+    tree = spanning_tree_not_path(g)
+    cur = inst.from_labels
+    flips = []
+    for v in range(g.n):
+        if cur[v] != to[v]:
+            u = cur.index(to[v])
+            nonpriv_at = [x for x in range(g.n) if cur[x] not in inst.privileged]
+            step = ref_tree_swap(tree, u, v, cur, inst.privileged, nonpriv_at, hits)
+            flips.extend(step)
+            cur = apply_vertex_sequence(tree, cur, step)
+    assert cur == to
+    return flips
+
+
+def ref_cycle_transform(g, frm, to, privileged):
+    n = g.n
+    order = cycle_vertex_order(g)
+    slot_of_vertex = {v: i for i, v in enumerate(order)}
+    cur = list(frm)
+    flips = []
+
+    def do_flip(i, j):
+        a, b = order[i % n], order[j % n]
+        flips.append((min(a, b), max(a, b)))
+        cur[a], cur[b] = cur[b], cur[a]
+
+    def slot_of(lab):
+        return slot_of_vertex[cur.index(lab)]
+
+    home = {to[v]: i for i, v in enumerate(order)}
+    a_lab, b_lab = [lab for lab in range(n) if lab not in privileged]
+
+    if slot_of(b_lab) == home[a_lab]:
+        s = slot_of(b_lab)
+        step = 1 if cur[order[(s + 1) % n]] != a_lab else -1
+        do_flip(s, s + step)
+
+    def route(lab, dest, avoid):
+        s = slot_of(lab)
+        if s == dest:
+            return
+        fwd = (dest - s) % n
+        step = 1 if (avoid - s) % n > fwd else -1
+        while s != dest:
+            do_flip(s, s + step)
+            s = (s + step) % n
+
+    route(a_lab, home[a_lab], slot_of(b_lab))
+    route(b_lab, home[b_lab], home[a_lab])
+
+    ha, hb = home[a_lab], home[b_lab]
+    arc1 = [(ha + k) % n for k in range(1, (hb - ha) % n)]
+    arc2 = [(hb + k) % n for k in range(1, (ha - hb) % n)]
+    set1 = set(arc1)
+
+    while True:
+        w1 = [cur[order[s]] for s in arc1 if home[cur[order[s]]] not in set1]
+        if not w1:
+            break
+        w2 = [cur[order[s]] for s in arc2 if home[cur[order[s]]] in set1]
+        p_lab, q_lab = w1[0], w2[0]
+        gate1, gate2 = (ha + 1) % n, (ha - 1) % n
+        s = slot_of(p_lab)
+        while s != gate1:
+            do_flip(s, s - 1)
+            s = (s - 1) % n
+        s = slot_of(q_lab)
+        while s != gate2:
+            do_flip(s, s + 1)
+            s = (s + 1) % n
+        do_flip(ha, gate1)
+        do_flip(ha, gate2)
+        do_flip(ha, gate1)
+
+    for arc in (arc1, arc2):
+        for k in range(len(arc)):
+            want = to[order[arc[k]]]
+            j = arc.index(slot_of(want))
+            while j > k:
+                do_flip(arc[j - 1], arc[j])
+                j -= 1
+    assert cur == list(to)
+    return flips
+
+
+def two_nonprivileged(rng, g):
+    frm = tuple(rng.sample(range(g.n), g.n))
+    to = tuple(rng.sample(range(g.n), g.n))
+    S = frozenset(range(g.n)) - set(rng.sample(range(g.n), 2))
+    return PrivilegedInstance(g, "vertex", frm, to, S)
+
+
+def random_tree(rng, n):
+    # parents drawn at random, then the vertices renamed at random
+    name = rng.sample(range(n), n)
+    return Graph(n, [(name[rng.randrange(v)], name[v]) for v in range(1, n)])
+
+
+def test_tree_transform_matches_bfs_reference():
+    rng = random.Random(11)
+    hits = Counter()
+    trees = 0
+    while trees < 2000:
+        g = random_tree(rng, rng.randint(4, 12))
+        if is_path(g):
+            continue
+        trees += 1
+        inst = two_nonprivileged(rng, g)
+        want = ref_tree_transform(inst, hits) if inst.from_labels != inst.to_labels else []
+        assert privileged_transform(inst) == want
+    for nonpriv in itertools.combinations(range(7), 2):
+        S = frozenset(range(7)) - set(nonpriv)
+        for _ in range(5):
+            frm, to = tuple(rng.sample(range(7), 7)), tuple(rng.sample(range(7), 7))
+            inst = PrivilegedInstance(SPIDER, "vertex", frm, to, S)
+            assert privileged_transform(inst) == ref_tree_transform(inst, hits)
+    # every branch of the swap is exercised
+    assert set(hits) == {"one sw", "both at the ends", "blockers inside",
+                         "blocker at an end"}, hits
+
+
+def test_cycle_transform_matches_reference():
+    rng = random.Random(13)
+    for n in range(3, 41):
+        g = make_family("cycle", n)
+        for _ in range(12):
+            inst = two_nonprivileged(rng, g)
+            if inst.from_labels == inst.to_labels:
+                continue
+            assert privileged_transform(inst) == ref_cycle_transform(
+                g, inst.from_labels, inst.to_labels, inst.privileged)
+
+
+def test_swaps_match_bfs_reference():
+    rng = random.Random(17)
+    for _ in range(400):
+        g = random_tree(rng, rng.randint(4, 10))
+        u, v = rng.sample(range(g.n), 2)
+        labels = tuple(rng.sample(range(g.n), g.n))
+        S = frozenset(rng.sample(range(g.n), rng.randint(g.n - 2, g.n)))
+        try:
+            want = ref_sw_swap(g, u, v, labels, S)
+        except ValueError:
+            with pytest.raises(ValueError):
+                sw_swap(g, u, v, labels, S)
+        else:
+            assert sw_swap(g, u, v, labels, S) == want
+        if is_path(g) or len(S) != g.n - 2:
+            continue
+        nonpriv = [x for x in range(g.n) if labels[x] not in S]
+        assert tree_swap_sequence(g, u, v, labels, S) == ref_tree_swap(
+            g, u, v, labels, S, nonpriv, Counter())
+
+
+def test_tree_transform_is_not_quadratic():
+    rng = random.Random(5)
+    g = random_tree(rng, 4000)
+    assert not is_path(g)
+    inst = two_nonprivileged(rng, g)
+    start = time.perf_counter()
+    flips = privileged_transform(inst)
+    elapsed = time.perf_counter() - start
+    # a whole-tree search and an O(n) scan per placement took several seconds
+    assert elapsed < 2, f"{elapsed:.1f} s for {len(flips)} flips"
+    cur = list(inst.from_labels)
+    for a, b in flips:
+        assert g.has_edge(a, b) and (cur[a] in inst.privileged or cur[b] in inst.privileged)
+        cur[a], cur[b] = cur[b], cur[a]
+    assert tuple(cur) == inst.to_labels
