@@ -177,16 +177,21 @@ def is_tree(g: Graph) -> bool:
 
 def is_path(g: Graph) -> bool:
     """True for connected graphs that are simple paths (including n = 1)."""
-    return is_tree(g) and all(g.degree(v) <= 2 for v in range(g.n))
+    return is_connected(g) and _connected_is_path(g)
 
 
 def is_cycle(g: Graph) -> bool:
-    return (
-        g.n >= 3
-        and g.m == g.n
-        and all(g.degree(v) == 2 for v in range(g.n))
-        and is_connected(g)
-    )
+    return _connected_is_cycle(g) and is_connected(g)
+
+
+def _connected_is_path(g: Graph) -> bool:
+    """is_path for a graph already known to be connected."""
+    return g.m == g.n - 1 and all(g.degree(v) <= 2 for v in range(g.n))
+
+
+def _connected_is_cycle(g: Graph) -> bool:
+    """is_cycle for a graph already known to be connected."""
+    return g.n >= 3 and g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
 
 
 def prufer_elimination_order(t: Graph) -> tuple[int, ...]:
@@ -242,7 +247,12 @@ def spanning_tree_not_path(g: Graph) -> Graph:
     """
     if not is_connected(g):
         raise ValueError("graph is not connected")
-    if is_path(g) or is_cycle(g):
+    return _connected_spanning_tree_not_path(g)
+
+
+def _connected_spanning_tree_not_path(g: Graph) -> Graph:
+    """spanning_tree_not_path for a graph already known to be connected."""
+    if _connected_is_path(g) or _connected_is_cycle(g):
         raise ValueError("every spanning tree of a path or cycle is a path")
     u = next(v for v in range(g.n) if g.degree(v) >= 3)
     first = [g.edge_index(u, w) for w in g.adjacency[u][:3]]

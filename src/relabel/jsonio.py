@@ -11,7 +11,9 @@ Instance:       {"kind": "vertex"|"edge", "graph": ..., "from": ..., "to": ..., 
 
 The decoders accept only JSON integers (not booleans) for vertex counts,
 edge endpoints, labels, board cells, flips, privileged labels and bounds,
-and raise ValueError for anything else.
+and only the keys above in graph, labeling and instance objects (a
+labeling has exactly one of its two keys); they raise ValueError for
+anything else.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ def _pairs(xs: Any, what: str) -> list[tuple[int, ...]]:
     return [_ints(x, what, 2) for x in xs]
 
 
+def _known_keys(obj: dict, allowed: tuple[str, ...], what: str) -> None:
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what} JSON: unknown keys {unknown}, expected only {list(allowed)}")
+
+
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
@@ -49,16 +57,17 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(obj: Any) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('graph JSON needs "n" and "edges"')
+    _known_keys(obj, ("n", "edges"), "graph")
     return Graph(_int(obj["n"], "vertex count"), _pairs(obj["edges"], "edges"))
 
 
 def labeling_from_json(obj: Any) -> tuple[str, tuple[int, ...]]:
-    """Return ("vertex"|"edge", labels) according to the key present."""
-    if isinstance(obj, dict) and "labels" in obj:
+    """Return ("vertex"|"edge", labels) according to the one key present."""
+    if isinstance(obj, dict) and list(obj) == ["labels"]:
         return "vertex", _ints(obj["labels"], "labels")
-    if isinstance(obj, dict) and "edge_labels" in obj:
+    if isinstance(obj, dict) and list(obj) == ["edge_labels"]:
         return "edge", _ints(obj["edge_labels"], "edge labels")
-    raise ValueError('labeling JSON needs "labels" or "edge_labels"')
+    raise ValueError('labeling JSON needs exactly one key, "labels" or "edge_labels"')
 
 
 def board_from_json(obj: Any) -> tuple[int, ...]:
@@ -102,6 +111,7 @@ def instance_from_json(obj: Any) -> VertexInstance | EdgeInstance | PrivilegedIn
     for key in ("kind", "graph", "from", "to"):
         if key not in obj:
             raise ValueError(f'instance JSON needs "{key}"')
+    _known_keys(obj, ("kind", "graph", "from", "to", "t", "privileged"), "instance")
     kind = obj["kind"]
     if kind not in ("vertex", "edge"):
         raise ValueError(f'instance kind must be "vertex" or "edge", got {kind!r}')

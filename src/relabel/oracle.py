@@ -17,6 +17,15 @@ legal, so the search looks them up by position; with more it keeps the
 flips incident to any privileged label's position.  Keys turn back into
 labelings only where a query returns them; diameters and histograms
 read the level sizes alone.
+One O(n + m) pass over the base graph per space ends searches early.
+A label never leaves its component of the base graph, so a target that
+moves one out is "not reached" at once.  Unrestricted, a component holds
+all such arrangements, the product of |C|! over the components C, and a
+search stops once it has them all.  With one privileged label on a
+bipartite base graph, each legal flip transposes two labels and moves
+that label across one edge, so the labeling's sign times the colour of
+its position never changes (Wilson, JCTB 1974), and a target where it
+differs is "not reached" at once too.
 All searches validate their labelings, then refuse to start when the
 space would exceed the capacity guard (10! states by default; pass a
 larger capacity explicitly to override) or has more than 256 positions,
@@ -26,11 +35,13 @@ which a bytes key cannot hold.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph, line_graph
 from .labeling import exact_t_rule, identity_labeling, validate_vertex_labeling
+from .perm import parity
 
 CAPACITY_LIMIT = math.factorial(10)
 MAX_POSITIONS = 256  # a search key stores each position in one byte
@@ -85,6 +96,30 @@ class ConfigurationSpace:
     def identity_state(self) -> tuple[int, ...]:
         return identity_labeling(self.positions)
 
+    @cached_property
+    def _invariants(self) -> tuple[Callable[[bytes], object], int]:
+        """A map of keys constant on each component, and the size of every
+        component when known (else 0).  Call after check_capacity: a
+        component is named by its lowest position, which must fit a byte."""
+        g = self.base
+        comp, colour = bytearray(256), bytearray(b"\2" * 256)  # 2: not seen yet
+        size, bipartite = 1, True
+        for root in (v for v in range(g.n) if colour[v] == 2):  # one per component
+            colour[root], block = 0, [root]
+            for u in block:  # grows as it is read: a breadth-first search
+                comp[u] = root
+                for v in g.adjacency[u]:
+                    if colour[v] == 2:
+                        colour[v] = colour[u] ^ 1
+                        block.append(v)
+                    bipartite = bipartite and colour[v] != colour[u]
+            size *= math.factorial(len(block))
+        table, s = bytes(comp), self.privileged
+        if s is not None and len(s) == 1 and bipartite:
+            (label,) = s
+            return (lambda w: (w.translate(table), parity(w) ^ colour[w[label]])), 0
+        return (lambda w: w.translate(table)), size if s is None else 0
+
 
 _Flip = tuple[tuple[int, int], bytes]
 
@@ -136,20 +171,26 @@ def _legal_flips(space: ConfigurationSpace) -> Callable[[bytes], list[_Flip]]:
     return legal
 
 
-def _search(space: ConfigurationSpace, src: bytes, dst: bytes | None = None
+def _search(space: ConfigurationSpace, src: bytes, dst: bytes = b""
             ) -> tuple[dict[bytes, _Flip | None], list[int]]:
     """Breadth-first search from src, level by level, flips tried in edge order.
 
-    src and dst are search keys (see _keys).  Returns (reached, sizes).
-    reached maps every key found, in discovery order, to the flip-table
-    entry whose flip first reached it (src maps to None); sizes[k] counts
-    the keys found at depth k.  The search stops the moment dst is found,
-    so dst, when reached, sits at depth len(sizes) - 1.
+    src and dst are search keys (see _keys); the default dst, b"", is the
+    key of no labeling with a flip.  Returns (reached, sizes).  reached
+    maps every key found, in discovery order, to the flip-table entry whose
+    flip first reached it (src maps to None); sizes[k] counts the keys
+    found at depth k.  The search stops the moment dst is found, so dst,
+    when reached, sits at depth len(sizes) - 1, or the component is
+    complete; a dst that fails an invariant tries no flip.
     """
-    legal = _legal_flips(space)
+    invariant, total = space._invariants
     reached: dict[bytes, _Flip | None] = {src: None}
     sizes = [1]
+    if dst and invariant(src) != invariant(dst):
+        return reached, sizes
+    legal = _legal_flips(space)
     level = [src]
+    left = total - 1  # keys still to find; below zero when the size is unknown
     while level and dst not in reached:
         found = []
         for w in level:
@@ -158,7 +199,8 @@ def _search(space: ConfigurationSpace, src: bytes, dst: bytes | None = None
                 if nxt not in reached:
                     reached[nxt] = entry
                     found.append(nxt)
-                    if nxt == dst:
+                    left -= 1
+                    if nxt == dst or not left:
                         return reached, sizes + [len(found)]
         if found:
             sizes.append(len(found))
@@ -215,7 +257,7 @@ def reachable_in_exactly(space: ConfigurationSpace, frm: Sequence[int],
     src, dst = _keys(space, frm, to)
     reached, sizes = _search(space, src, dst)
     d = len(sizes) - 1 if dst in reached else None
-    return exact_t_rule(d, t, bool(_legal_flips(space)(src)))
+    return exact_t_rule(d, t, d == 0 and bool(_legal_flips(space)(src)))
 
 
 class ComponentSummary(NamedTuple):

@@ -17,6 +17,9 @@ from typing import NamedTuple, Sequence
 
 from .graph import (
     Graph,
+    _connected_is_cycle,
+    _connected_is_path,
+    _connected_spanning_tree_not_path,
     cycle_vertex_order,
     is_connected,
     is_cycle,
@@ -25,7 +28,6 @@ from .graph import (
     line_graph,
     make_family,
     path_vertex_order,
-    spanning_tree_not_path,
 )
 from .labeling import (
     edges_share_endpoint,
@@ -301,15 +303,20 @@ def solvable(inst: PrivilegedInstance) -> Solvability:
     """
     if inst.kind == "edge":
         inst = _line_graph_instance(inst)
-    g = inst.graph
-    if not is_connected(g):
+    if not is_connected(inst.graph):
         raise ValueError("graph is not connected")
+    return _solvable_connected(inst)
+
+
+def _solvable_connected(inst: PrivilegedInstance) -> Solvability:
+    """solvable for a vertex instance on a graph already known to be connected."""
+    g = inst.graph
     if inst.from_labels == inst.to_labels:
         return Solvability("yes", "theorem")
     k = len(inst.nonprivileged())
     if k <= 1:
         return Solvability("yes", "theorem")
-    if is_path(g):
+    if _connected_is_path(g):
         if not path_order_invariant(inst):
             return Solvability("no", "invariant")
         return Solvability("unknown_use_oracle", None)
@@ -317,7 +324,7 @@ def solvable(inst: PrivilegedInstance) -> Solvability:
         if g.n >= 4:
             return Solvability("yes", "theorem")
         return Solvability("unknown_use_oracle", None)
-    if is_cycle(g):
+    if _connected_is_cycle(g):
         if not cycle_orientation_invariant(inst):
             return Solvability("no", "invariant")
         return Solvability("unknown_use_oracle", None)
@@ -385,21 +392,21 @@ def privileged_transform(inst: PrivilegedInstance,
     frm, to = inst.from_labels, inst.to_labels
     if frm == to:
         return []
-    if solvable(inst).answer == "no":
+    if _solvable_connected(inst).answer == "no":
         raise UnsolvableError("certified by the order/orientation invariant")
     if len(nonpriv) <= 1:
         return spanning_tree_transform(g, frm, to)
-    if is_path(g):
+    if _connected_is_path(g):
         space = ConfigurationSpace(g, privileged=inst.privileged, capacity=capacity)
         seq = shortest_flip_sequence(space, frm, to)
         if seq is None:
             raise UnsolvableError("restricted BFS exhausted the component")
         return seq
-    if is_cycle(g):
+    if _connected_is_cycle(g):
         return _cycle_transform(g, frm, to, inst.privileged)
     # a non-path spanning tree by construction, and cur always holds the
     # instance's two non-privileged labels: the unchecked swap applies
-    rt = _rooted(spanning_tree_not_path(g))
+    rt = _rooted(_connected_spanning_tree_not_path(g))
     cur = list(frm)
     where = list(inverse(frm))
     a_lab, b_lab = nonpriv

@@ -378,3 +378,41 @@ def test_puzzle_non_integer_cells_exit_2(capsys):
     code, out = run(capsys, "puzzle", "--side", "2", "--b1", "[[0,1],[2,3]]",
                     "--b2", "[0,1,2,3]", "--k", "2")
     assert code == 0 and out["from"] == {"labels": [0, 1, 2, 3]}
+
+
+def test_unknown_json_keys_exit_2(capsys, tmp_path):
+    inst = {"kind": "vertex", "graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
+            "from": {"labels": [0, 1, 2]}, "to": {"labels": [2, 1, 0]}, "t": 3}
+    # a misspelt "privileged" would otherwise reduce as a plain instance
+    typo = write(tmp_path, "typo.json", dict(inst, privilged=[1]))
+    assert_input_error(capsys, "reduce", "--direction", "v2e", "--instance", typo)
+    assert_input_error(capsys, "solvable", "--instance", typo)
+    bad_graph = write(tmp_path, "bad_graph.json", dict(inst, graph={"n": 3, "edges": [],
+                                                                    "m": 0}))
+    assert_input_error(capsys, "reduce", "--direction", "v2e", "--instance", bad_graph)
+    for labeling in ({"labels": [0, 1, 2], "edge_labels": [0, 1]},
+                     {"labels": [0, 1, 2], "note": "home"}):
+        bad = write(tmp_path, "bad_inst.json", dict(inst, to=labeling))
+        assert_input_error(capsys, "reduce", "--direction", "v2e", "--instance", bad)
+        lab = write(tmp_path, "bad_lab.json", labeling)
+        p3 = write(tmp_path, "p3.json", inst["graph"])
+        assert_input_error(capsys, "distance", "--graph", p3, "--from", lab, "--to", lab)
+    assert_input_error(capsys, "distance", "--graph", bad_graph, "--from", lab, "--to", lab)
+    # what gen, reduce and puzzle print still decodes
+    code, graph = run(capsys, "gen", "--family", "star", "--n", "3")
+    assert code == 0
+    ident = write(tmp_path, "id.json", {"labels": [0, 1, 2]})
+    code, out = run(capsys, "distance", "--graph", write(tmp_path, "g.json", graph),
+                    "--from", ident, "--to", ident)
+    assert code == 0 and out["distance"] == 0
+    code, edge = run(capsys, "reduce", "--direction", "v2e", "--instance",
+                     write(tmp_path, "inst.json", inst))
+    assert code == 0
+    code, back = run(capsys, "reduce", "--direction", "e2v", "--instance",
+                     write(tmp_path, "edge.json", edge))
+    assert code == 0 and back["kind"] == "vertex"
+    code, puzzle = run(capsys, "puzzle", "--side", "2", "--b1", "[0,1,2,3]",
+                       "--b2", "[0,1,3,2]", "--k", "1")
+    assert code == 0
+    code, res = run(capsys, "solvable", "--instance", write(tmp_path, "puz.json", puzzle))
+    assert code == 0 and res["answer"] == "yes"

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from relabel.graph import Graph, make_family
+from relabel import oracle
+from relabel.graph import Graph, is_connected, make_family
 from relabel.labeling import apply_vertex_flip, identity_labeling
 from relabel.oracle import (
     CapacityError,
@@ -247,10 +248,47 @@ def reference_search(space, src):
     return parent, sizes
 
 
+def assert_matches_reference(space, src, stride=1):
+    """Discovery order, depths, level sizes, point queries to every
+    stride-th dst, and the stored flips, which must be the edge tuples of
+    space.base.edges themselves; distance_map keys are labeling tuples of
+    ints.  Returns the number of unreachable targets."""
+    n = space.positions
+    parent, sizes = reference_search(space, src)
+    depth = {}
+    for state, edge in parent.items():
+        before = state if edge is None else apply_vertex_flip(space.base, state, edge)
+        depth[state] = 0 if edge is None else depth[before] + 1
+    got_map = distance_map(space, src)
+    assert list(got_map.items()) == list(depth.items())
+    assert all(type(state) is tuple and all(type(x) is int for x in state)
+               for state in got_map)
+    assert distance_distribution(space, src) == dict(enumerate(sizes))
+    assert diameter(space, src) == len(sizes) - 1
+    assert component(space, src) == (len(parent), None)
+    unreachable = 0
+    for dst in itertools.islice(itertools.permutations(range(n)), 0, None, stride):
+        if dst not in parent:
+            assert bfs_distance(space, src, dst) is None
+            assert shortest_flip_sequence(space, src, dst) is None
+            assert not reachable_in_exactly(space, src, dst, n)
+            unreachable += 1
+            continue
+        want = []
+        state = dst
+        while parent[state] is not None:
+            want.append(parent[state])
+            state = apply_vertex_flip(space.base, state, parent[state])
+        got = shortest_flip_sequence(space, src, dst)
+        assert got == want[::-1]
+        assert all(any(f is e for e in space.base.edges) for f in got)
+        assert bfs_distance(space, src, dst) == depth[dst]
+        assert reachable_in_exactly(space, src, dst, depth[dst])
+        assert not reachable_in_exactly(space, src, dst, depth[dst] + 1)
+    return unreachable
+
+
 def test_search_matches_reference_bfs():
-    # discovery order, depths, level sizes, point queries and the stored
-    # flips, which must be the edge tuples of space.base.edges themselves;
-    # distance_map keys are labeling tuples of ints
     c5 = make_family("cycle", 5)
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     spaces = [ConfigurationSpace(Graph(1, [])), ConfigurationSpace(make_family("path", 2)),
@@ -267,33 +305,103 @@ def test_search_matches_reference_bfs():
     for space in spaces:
         n = space.positions
         for src in (identity_labeling(n), tuple(rng.sample(range(n), n))):
-            parent, sizes = reference_search(space, src)
-            depth = {}
-            for state, edge in parent.items():
-                before = state if edge is None else apply_vertex_flip(space.base, state, edge)
-                depth[state] = 0 if edge is None else depth[before] + 1
-            got_map = distance_map(space, src)
-            assert list(got_map.items()) == list(depth.items())
-            assert all(type(state) is tuple and all(type(x) is int for x in state)
-                       for state in got_map)
-            assert distance_distribution(space, src) == dict(enumerate(sizes))
-            assert diameter(space, src) == len(sizes) - 1
-            for dst in itertools.permutations(range(n)):
-                if dst not in parent:
-                    assert bfs_distance(space, src, dst) is None
-                    assert shortest_flip_sequence(space, src, dst) is None
-                    assert not reachable_in_exactly(space, src, dst, n)
-                    unreachable += 1
-                    continue
-                want = []
-                state = dst
-                while parent[state] is not None:
-                    want.append(parent[state])
-                    state = apply_vertex_flip(space.base, state, parent[state])
-                got = shortest_flip_sequence(space, src, dst)
-                assert got == want[::-1]
-                assert all(any(f is e for e in space.base.edges) for f in got)
-                assert bfs_distance(space, src, dst) == depth[dst]
-                assert reachable_in_exactly(space, src, dst, depth[dst])
-                assert not reachable_in_exactly(space, src, dst, depth[dst] + 1)
+            unreachable += assert_matches_reference(space, src)
     assert unreachable
+
+
+def two_colourable(g):
+    colour = {}
+    for root in range(g.n):
+        if root not in colour:
+            colour[root] = 0
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for v in g.adjacency[u]:
+                    if v not in colour:
+                        colour[v] = 1 - colour[u]
+                        stack.append(v)
+                    elif colour[v] == colour[u]:
+                        return False
+    return True
+
+
+def test_invariants_and_stop_match_reference_on_random_graphs():
+    # the component table, the known-size stop and the parity invariant
+    # change no answer: random graphs on 4-6 vertices, one of each of
+    # disconnected, connected bipartite and connected non-bipartite per
+    # size, under unrestricted flips, every singleton privileged set, one
+    # two-label set and edge mode; every (src, dst) pair on up to 4
+    # positions, every dst from random sources on 5, every fourth on 6
+    rng = random.Random(17)
+    unreachable = 0
+    for n in (4, 5, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        found = {}
+        while len(found) < 3:
+            g = Graph(n, rng.sample(pairs, rng.randint(n - 2, n + 1)))
+            found.setdefault((is_connected(g), is_connected(g) and two_colourable(g)), g)
+        assert {bip for (conn, bip) in found if conn} == {False, True}
+        for g in found.values():
+            spaces = [ConfigurationSpace(g), ConfigurationSpace(g, privileged=[0, n - 1])]
+            spaces += [ConfigurationSpace(g, privileged=[x]) for x in range(n)]
+            if g.m <= 5:
+                spaces.append(ConfigurationSpace(g, mode="edge"))
+            for space in spaces:
+                k = space.positions
+                every = list(itertools.permutations(range(k)))
+                for src in every if k <= 4 else rng.sample(every, 7 - k):
+                    unreachable += assert_matches_reference(space, src, 4 if k == 6 else 1)
+    assert unreachable
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """The search keys whose legal flips the oracle looks up, in order.
+
+    More than 1,000 lookups fail the test at once, so that a search the
+    invariants should have skipped (12!/2 states) cannot run on."""
+    seen = []
+    real = oracle._legal_flips
+
+    def counting(space):
+        legal = real(space)
+
+        def lookup(w):
+            seen.append(w)
+            assert len(seen) <= 1000, "the search ran on"
+            return legal(w)
+        return lookup
+    monkeypatch.setattr(oracle, "_legal_flips", counting)
+    return seen
+
+
+def test_invariants_answer_unreachable_targets_without_a_flip(lookups):
+    # 3x4 board, blank 11 privileged: two tiles swapped with the blank at
+    # home is odd, so Wilson's invariant rules it out of 12!/2 states
+    grid = Graph(12, [(r * 4 + c, r * 4 + c + 1) for r in range(3) for c in range(3)] +
+                 [(r * 4 + c, r * 4 + c + 4) for r in range(2) for c in range(4)])
+    board = ConfigurationSpace(grid, privileged=[11], capacity=math.factorial(12))
+    home = identity_labeling(12)
+    # P_3 + P_3: label 0 cannot reach the other path, whatever the flip rule
+    two_paths = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    cases = [(board, home, (1, 0) + home[2:])]
+    cases += [(ConfigurationSpace(two_paths, privileged=priv), identity_labeling(6),
+               (3, 1, 2, 0, 4, 5)) for priv in (None, [0], [1], [0, 3])]
+    for space, frm, to in cases:
+        assert bfs_distance(space, frm, to) is None
+        assert shortest_flip_sequence(space, frm, to) is None
+        assert not reachable_in_exactly(space, frm, to, 0)
+        assert not reachable_in_exactly(space, frm, to, 7)
+    assert lookups == []
+    # a reachable target is searched for: one flip moves the blank
+    assert bfs_distance(board, home, home[:10] + (11, 10)) == 1
+    assert lookups
+
+
+def test_known_size_stops_the_search(lookups):
+    # K_5 has 5! labelings at Stirling distances; the search stops at the
+    # last one found instead of expanding every labeling
+    hist = distance_distribution(ConfigurationSpace(make_family("complete", 5)))
+    assert hist == {0: 1, 1: 10, 2: 35, 3: 50, 4: 24}
+    assert len(lookups) < sum(hist.values())

@@ -634,3 +634,30 @@ def test_tree_transform_is_not_quadratic():
         assert g.has_edge(a, b) and (cur[a] in inst.privileged or cur[b] in inst.privileged)
         cur[a], cur[b] = cur[b], cur[a]
     assert tuple(cur) == inst.to_labels
+
+
+def test_transform_checks_connectivity_once(monkeypatch):
+    # graph.is_connected is O(n + m); privileged_transform runs it once and
+    # reads path, cycle and spanning-tree shape off the connected graph
+    import relabel.graph
+    import relabel.privileged
+
+    calls = []
+    real = relabel.graph.is_connected
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+    rng = random.Random(19)
+    cases = [random_tree(rng, 100), make_family("grid", 6),
+             Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])]
+    for g in cases:
+        inst = two_nonprivileged(rng, g)
+        want = privileged_transform(inst)
+        for module in (relabel.graph, relabel.privileged):
+            monkeypatch.setattr(module, "is_connected", counted)
+        calls.clear()
+        assert privileged_transform(inst) == want
+        assert calls == [g.n]
+        monkeypatch.undo()
+        replay(inst, want)
