@@ -4,6 +4,10 @@ Subcommands: gen, distance, transform, reduce, solvable, puzzle, oracle.
 Machine-readable JSON goes to stdout; human messages go to stderr.  Exit
 codes: 0 success or yes, 1 no/unsolvable, 2 usage or input error,
 3 capacity exceeded.
+
+Each subcommand imports the library modules it runs when it runs, and
+building the parser imports none, so with the lazy modules of
+``relabel/__init__`` a request loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -11,32 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .graph import Graph, make_family
-from .jsonio import (
-    board_from_json,
-    flip_sequence_to_json,
-    graph_from_json,
-    graph_to_json,
-    instance_from_json,
-    instance_to_json,
-    labeling_from_json,
-)
-from .labeling import apply_vertex_sequence
-from .oracle import (
-    CAPACITY_LIMIT,
-    CapacityError,
-    ConfigurationSpace,
-    bfs_distance,
-    diameter,
-    distance_distribution,
-    reachable_in_exactly,
-    shortest_flip_sequence,
-)
-from .privileged import PrivilegedInstance, puzzle_instance, resolve_solvable
-from .reductions import EdgeInstance, VertexInstance, edge_to_vertex, vertex_to_edge
-from .transform import METHODS, distance, spanning_tree_transform
+if TYPE_CHECKING:
+    from .graph import Graph
 
 _SHIFTED_KEYS = {"edges", "labels", "edge_labels", "flips", "privileged", "witness"}
 
@@ -63,10 +45,12 @@ def _load_json(path: str) -> Any:
 
 
 def _load_graph(path: str) -> Graph:
+    from .jsonio import graph_from_json
     return graph_from_json(_load_json(path))
 
 
 def _load_vertex_labels(path: str) -> tuple[int, ...]:
+    from .jsonio import labeling_from_json
     kind, labels = labeling_from_json(_load_json(path))
     if kind != "vertex":
         raise ValueError(f"{path}: expected a vertex labeling")
@@ -74,6 +58,7 @@ def _load_vertex_labels(path: str) -> tuple[int, ...]:
 
 
 def _load_board(source: str) -> tuple[int, ...]:
+    from .jsonio import board_from_json
     try:
         obj = _load_json(source)
     except OSError:
@@ -82,6 +67,7 @@ def _load_board(source: str) -> tuple[int, ...]:
 
 
 def _capacity(args: argparse.Namespace) -> int:
+    from .oracle import CAPACITY_LIMIT
     if args.capacity_override is not None:
         print(f"warning: capacity override {args.capacity_override}", file=sys.stderr)
         return args.capacity_override
@@ -89,11 +75,14 @@ def _capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> tuple[Any, int]:
+    from .graph import make_family
+    from .jsonio import graph_to_json
     g = make_family(args.family, args.n, seed=args.seed)
     return graph_to_json(g), 0
 
 
 def _cmd_distance(args: argparse.Namespace) -> tuple[Any, int]:
+    from .transform import distance
     g = _load_graph(args.graph)
     frm = _load_vertex_labels(args.source)
     to = _load_vertex_labels(args.target)
@@ -101,15 +90,19 @@ def _cmd_distance(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_transform(args: argparse.Namespace) -> tuple[Any, int]:
+    from .jsonio import flip_sequence_to_json
+    from .labeling import apply_vertex_sequence
     g = _load_graph(args.graph)
     frm = _load_vertex_labels(args.source)
     to = _load_vertex_labels(args.target)
     if args.method == "bfs":
+        from .oracle import ConfigurationSpace, shortest_flip_sequence
         space = ConfigurationSpace(g, capacity=_capacity(args))
         flips = shortest_flip_sequence(space, frm, to)
         if flips is None:
             raise ValueError("labelings lie in different components")
     else:
+        from .transform import spanning_tree_transform
         flips = spanning_tree_transform(g, frm, to)
     if apply_vertex_sequence(g, frm, flips) != to:
         raise RuntimeError("self-check failed: sequence does not reach the target")
@@ -119,8 +112,10 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[Any, int]:
+    from .jsonio import instance_from_json, instance_to_json
+    from .reductions import EdgeInstance, VertexInstance, edge_to_vertex, vertex_to_edge
     inst = instance_from_json(_load_json(args.instance))
-    if isinstance(inst, PrivilegedInstance):
+    if not isinstance(inst, (VertexInstance, EdgeInstance)):
         raise ValueError("reduce expects a plain vertex or edge instance")
     if args.direction == "v2e":
         if not isinstance(inst, VertexInstance):
@@ -132,6 +127,8 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_solvable(args: argparse.Namespace) -> tuple[Any, int]:
+    from .jsonio import instance_from_json
+    from .privileged import PrivilegedInstance, resolve_solvable
     inst = instance_from_json(_load_json(args.instance))
     if not isinstance(inst, PrivilegedInstance):
         raise ValueError('solvable expects an instance with a "privileged" set')
@@ -146,12 +143,17 @@ def _cmd_solvable(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_puzzle(args: argparse.Namespace) -> tuple[Any, int]:
+    from .jsonio import instance_to_json
+    from .privileged import puzzle_instance
     inst = puzzle_instance(args.side, _load_board(args.b1), _load_board(args.b2),
                            args.k)
     return instance_to_json(inst), 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, int]:
+    from .jsonio import labeling_from_json
+    from .oracle import (ConfigurationSpace, bfs_distance, diameter, distance_distribution,
+                         reachable_in_exactly)
     g = _load_graph(args.graph)
     privileged = None
     if args.privileged:
@@ -175,6 +177,11 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, int]:
     if args.t is not None:
         out["reachable_in_exactly"] = reachable_in_exactly(space, frm, to, args.t)
     return out, 0
+
+
+def _capacity_error() -> type[Exception]:
+    from .oracle import CapacityError
+    return CapacityError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--to", dest="target", required=True)
-    p.add_argument("--method", default="auto", choices=METHODS)
+    # distance() rejects an unknown method, so the parser need not import it
+    p.add_argument("--method", default="auto",
+                   help="auto (default), path, star, bfs or tree-bound")
     common(p)
     p.set_defaults(func=_cmd_distance)
 
@@ -260,12 +269,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         out, code = args.func(args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _capacity_error() as exc:  # evaluated only once something was raised
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     _emit(out, args.one_based)
     return code
 

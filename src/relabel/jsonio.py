@@ -18,11 +18,13 @@ anything else.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .graph import Graph
-from .privileged import PrivilegedInstance
-from .reductions import EdgeInstance, VertexInstance
+
+if TYPE_CHECKING:  # the instance codecs import the one instance module they need
+    from .privileged import PrivilegedInstance
+    from .reductions import EdgeInstance, VertexInstance
 
 
 def _int(x: Any, what: str) -> int:
@@ -88,20 +90,17 @@ def flip_sequence_to_json(flips: Sequence[Sequence[int]], kind: str = "vertex") 
 
 def instance_to_json(inst: VertexInstance | EdgeInstance | PrivilegedInstance) -> dict:
     """The instance as JSON; "privileged" appears only on privileged instances."""
-    if isinstance(inst, PrivilegedInstance):
-        kind = inst.kind
-    else:
-        kind = "vertex" if isinstance(inst, VertexInstance) else "edge"
-    key = "labels" if kind == "vertex" else "edge_labels"
+    key = "labels" if inst.kind == "vertex" else "edge_labels"
     out = {
-        "kind": kind,
+        "kind": inst.kind,
         "graph": graph_to_json(inst.graph),
         "from": {key: list(inst.from_labels)},
         "to": {key: list(inst.to_labels)},
         "t": inst.t,
     }
-    if isinstance(inst, PrivilegedInstance):
-        out["privileged"] = sorted(inst.privileged)
+    privileged = getattr(inst, "privileged", None)
+    if privileged is not None:
+        out["privileged"] = sorted(privileged)
     return out
 
 
@@ -124,9 +123,11 @@ def instance_from_json(obj: Any) -> VertexInstance | EdgeInstance | PrivilegedIn
     if t is not None:
         t = _int(t, "bound t")
     if "privileged" in obj:
+        from .privileged import PrivilegedInstance
         return PrivilegedInstance(g, kind, frm, to,
                                   frozenset(_ints(obj["privileged"], "privileged labels")), t)
     if t is None:
         raise ValueError('plain instances need an integer "t"')
+    from .reductions import EdgeInstance, VertexInstance
     cls = VertexInstance if kind == "vertex" else EdgeInstance
     return cls(g, frm, to, t)

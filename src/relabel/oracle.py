@@ -26,10 +26,11 @@ bipartite base graph, each legal flip transposes two labels and moves
 that label across one edge, so the labeling's sign times the colour of
 its position never changes (Wilson, JCTB 1974), and a target where it
 differs is "not reached" at once too.
-All searches validate their labelings, then refuse to start when the
-space would exceed the capacity guard (10! states by default; pass a
-larger capacity explicitly to override) or has more than 256 positions,
-which a bytes key cannot hold.
+All searches validate their labelings and refuse a space of more than
+256 positions, which a bytes key cannot hold.  Then a target that an
+invariant rules out is answered at once, at any size; every other search
+refuses to start when the space would exceed the capacity guard (10!
+states by default; pass a larger capacity explicitly to override).
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class ConfigurationSpace:
     @cached_property
     def _invariants(self) -> tuple[Callable[[bytes], object], int]:
         """A map of keys constant on each component, and the size of every
-        component when known (else 0).  Call after check_capacity: a
-        component is named by its lowest position, which must fit a byte."""
+        component when known (else 0).  Call on at most 256 positions (see
+        _keys): a component is named by its lowest position, which must fit
+        a byte."""
         g = self.base
         comp, colour = bytearray(256), bytearray(b"\2" * 256)  # 2: not seen yet
         size, bipartite = 1, True
@@ -125,15 +127,17 @@ _Flip = tuple[tuple[int, int], bytes]
 
 
 def _keys(space: ConfigurationSpace, *labelings: Sequence[int]) -> list[bytes]:
-    """Validate labelings, check capacity, and return their search keys.
+    """Validate labelings and return their search keys.
 
     The key of a labeling (state[position] = label) is its inverse as
-    bytes, w[label] = position.  Capacity is checked before any key is
-    built, since a key holds positions 0-255 only.
+    bytes, w[label] = position.  More than 256 positions raise
+    CapacityError before any key is built, since a key holds positions
+    0-255 only; the state count is checked by _search.
     """
     states = [space.validate_state(x) for x in labelings]
-    space.check_capacity()
     n = space.positions
+    if n > MAX_POSITIONS:
+        space.check_capacity()  # raises: too many positions
     ident = bytes(range(n))
     return [bytes.maketrans(bytes(x), ident)[:n] for x in states]
 
@@ -181,13 +185,15 @@ def _search(space: ConfigurationSpace, src: bytes, dst: bytes = b""
     flip first reached it (src maps to None); sizes[k] counts the keys
     found at depth k.  The search stops the moment dst is found, so dst,
     when reached, sits at depth len(sizes) - 1, or the component is
-    complete; a dst that fails an invariant tries no flip.
+    complete.  A dst that fails an invariant is answered at any size,
+    with no flip tried; every other search checks capacity first.
     """
     invariant, total = space._invariants
     reached: dict[bytes, _Flip | None] = {src: None}
     sizes = [1]
     if dst and invariant(src) != invariant(dst):
         return reached, sizes
+    space.check_capacity()
     legal = _legal_flips(space)
     level = [src]
     left = total - 1  # keys still to find; below zero when the size is unknown
@@ -269,11 +275,18 @@ def component(space: ConfigurationSpace, frm: Sequence[int],
               cap: int | None = None) -> ComponentSummary:
     """Size of the reachable set from frm, with up to cap states listed.
 
-    Without cap the size is read from the search; no key turns back into
-    a labeling.
+    Without cap no key turns back into a labeling: an unrestricted space
+    gives the size from its invariants with no search, any other from
+    the search.
     """
     if cap is None:
-        return ComponentSummary(len(_search(space, *_keys(space, frm))[0]), None)
+        (src,) = _keys(space, frm)
+        size = space._invariants[1]
+        if size:
+            space.check_capacity()
+        else:
+            size = len(_search(space, src)[0])
+        return ComponentSummary(size, None)
     dist = distance_map(space, frm)
     return ComponentSummary(len(dist), tuple(sorted(dist)[:cap]))
 

@@ -20,6 +20,7 @@ from .labeling import validate_edge_labeling, validate_vertex_labeling
 
 @dataclass(frozen=True)
 class VertexInstance:
+    kind = "vertex"  # a class attribute, not a dataclass field
     graph: Graph
     from_labels: tuple[int, ...]
     to_labels: tuple[int, ...]
@@ -36,6 +37,7 @@ class VertexInstance:
 
 @dataclass(frozen=True)
 class EdgeInstance:
+    kind = "edge"
     graph: Graph
     from_labels: tuple[int, ...]
     to_labels: tuple[int, ...]

@@ -1,9 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import relabel
 from relabel.cli import main
 from relabel.graph import Graph, make_family
 from relabel.jsonio import graph_to_json
@@ -143,6 +147,60 @@ def test_distance_method_mismatch(capsys, tmp_path):
     frm = write(tmp_path, "frm.json", {"labels": [1, 0, 3, 2]})
     assert main(["distance", "--graph", k4, "--from", frm, "--to", frm,
                  "--method", "path"]) == 2
+
+
+def test_unknown_method_exits_2(capsys, monkeypatch, p4_files):
+    # distance() rejects the method, with one line and no usage text
+    graph, rev, ident = p4_files
+    assert_input_error(capsys, "distance", "--graph", graph, "--from", rev, "--to", ident,
+                       "--method", "nonsense")
+    # the help still names every method
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main(["distance", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert all(method in help_text for method in METHODS)
+
+
+# the library modules each request executes: the rest stay lazy
+EXECUTED = {
+    (): set(),
+    ("gen", "--family", "path", "--n", "5"): {"graph", "jsonio"},
+    ("distance", "--graph", "p4.json", "--from", "rev.json", "--to", "id.json"):
+        {"graph", "jsonio", "transform", "exact_path", "exact_star", "labeling", "perm",
+         "oracle"},
+    ("reduce", "--direction", "v2e", "--instance", "inst.json"):
+        {"graph", "jsonio", "reductions", "labeling", "perm"},
+    ("oracle", "--graph", "p4.json", "--diameter"):
+        {"graph", "jsonio", "oracle", "labeling", "perm"},
+}
+CHILD = """
+import contextlib, io, json, sys, types
+sys.path.insert(0, {src!r})
+from relabel.cli import main
+argv = {argv!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(argv) if argv else 0
+print(json.dumps([code, sorted(name[len("relabel."):] for name, m in sys.modules.items()
+                               if name.startswith("relabel.") and name != "relabel.cli"
+                               and type(m) is types.ModuleType)]))
+"""
+
+
+@pytest.mark.parametrize("argv", EXECUTED, ids=lambda argv: argv[0] if argv else "import")
+def test_requests_execute_only_the_modules_they_run(tmp_path, argv):
+    write(tmp_path, "p4.json", graph_to_json(make_family("path", 4)))
+    write(tmp_path, "rev.json", {"labels": [3, 2, 1, 0]})
+    write(tmp_path, "id.json", {"labels": [0, 1, 2, 3]})
+    write(tmp_path, "inst.json", {"kind": "vertex", "graph": graph_to_json(make_family("path", 3)),
+                                  "from": {"labels": [2, 1, 0]}, "to": {"labels": [0, 1, 2]},
+                                  "t": 3})
+    src = str(Path(relabel.__file__).parents[1])  # the package this suite imports
+    child = CHILD.format(src=src, argv=list(argv))
+    out = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    code, executed = json.loads(out)
+    assert code == 0
+    assert set(executed) == EXECUTED[argv]
 
 
 def test_transform_self_check(capsys, p4_files):

@@ -18,6 +18,7 @@ from relabel.oracle import (
     reachable_in_exactly,
     shortest_flip_sequence,
 )
+from relabel.privileged import PrivilegedInstance, resolve_solvable
 
 
 def test_bfs_distance_examples():
@@ -405,3 +406,41 @@ def test_known_size_stops_the_search(lookups):
     hist = distance_distribution(ConfigurationSpace(make_family("complete", 5)))
     assert hist == {0: 1, 1: 10, 2: 35, 3: 50, 4: 24}
     assert len(lookups) < sum(hist.values())
+
+
+def test_invariants_answer_before_the_capacity_guard(lookups):
+    # 4x4 board, blank 15 privileged, tiles 0 and 1 swapped: 16! states
+    # exceed the default capacity, but Wilson's invariant rules the target out
+    board = make_family("grid", 4)
+    home = identity_labeling(16)
+    swapped = (1, 0) + home[2:]
+    space = ConfigurationSpace(board, privileged=[15])
+    # P_6 + P_6 unrestricted, 12! states: label 0 cannot reach the other path
+    two_paths = Graph(12, [(i, i + 1) for i in range(11) if i != 5])
+    moved = (6,) + home[1:6] + (0,) + home[7:12]
+    for space, frm, to in ((space, home, swapped),
+                           (ConfigurationSpace(two_paths), home[:12], moved)):
+        assert bfs_distance(space, frm, to) is None
+        assert shortest_flip_sequence(space, frm, to) is None
+        assert not reachable_in_exactly(space, frm, to, 9)
+    inst = PrivilegedInstance(board, "vertex", home, swapped, frozenset([15]))
+    assert resolve_solvable(inst, want_witness=True) == ("no", "oracle", None)
+    assert lookups == []
+    # a target the invariants allow still meets the guard
+    with pytest.raises(CapacityError, match="exceeds capacity"):
+        bfs_distance(ConfigurationSpace(board, privileged=[15]), home,
+                     home[:11] + (15,) + home[12:15] + (11,))
+
+
+def test_component_size_known_without_a_search(lookups):
+    k8 = ConfigurationSpace(make_family("complete", 8))
+    assert component(k8, (7, 6, 5, 4, 3, 2, 1, 0)) == (math.factorial(8), None)
+    # two components: every arrangement within each, 3! * 2!
+    two = ConfigurationSpace(Graph(5, [(0, 1), (1, 2), (3, 4)]))
+    assert component(two, (2, 0, 1, 4, 3)) == (12, None)
+    assert lookups == []
+    with pytest.raises(CapacityError):
+        component(ConfigurationSpace(make_family("complete", 8), capacity=100),
+                  identity_labeling(8))
+    with pytest.raises(ValueError):
+        component(k8, (0, 1, 2))

@@ -224,8 +224,9 @@ def test_distance_rejects_what_no_method_answers():
         distance(p4, ident, ident, "astar")
     # on a disconnected graph BFS (bfs, and auto within capacity) gives the
     # oracle's distance for every target in the source's component and
-    # refuses every other target; the tree bound, and auto past capacity,
-    # need a connected graph
+    # refuses every other target, whatever the capacity, since the oracle's
+    # invariants rule it out before any search; the tree bound, and auto
+    # past capacity, need a connected graph
     two_edges = Graph(4, [(0, 1), (2, 3)])
     dist = distance_map(ConfigurationSpace(two_edges), ident)
     assert len(dist) == 4 and dist[(1, 0, 3, 2)] == 2
@@ -238,7 +239,8 @@ def test_distance_rejects_what_no_method_answers():
                     distance(two_edges, ident, b, method)
         with pytest.raises(ValueError, match="not connected"):
             distance(two_edges, ident, b, "tree-bound")
-        with pytest.raises(ValueError, match="not connected"):
+        with pytest.raises(ValueError, match="not connected" if b in dist
+                           else "different components"):
             distance(two_edges, ident, b, "auto", capacity=23)
     # a long labeling is refused, not truncated by the path or star reorder
     applies = {"auto": p4, "path": p4, "star": make_family("star", 4), "bfs": k4,
