@@ -22,7 +22,7 @@ _EXPORTS = {
     "graph": ("Graph", "cycle_vertex_order", "is_connected", "is_cycle", "is_path",
               "is_tree", "line_graph", "make_family", "path_vertex_order",
               "prufer_elimination_order", "spanning_tree", "spanning_tree_not_path",
-              "tree_distance", "tree_path"),
+              "tree_path"),
     "labeling": ("apply_edge_flip", "apply_edge_sequence", "apply_vertex_flip",
                  "apply_vertex_sequence", "identity_labeling", "relative_permutation",
                  "validate_edge_labeling", "validate_vertex_labeling"),
@@ -33,8 +33,7 @@ _EXPORTS = {
     "oracle": ("CAPACITY_LIMIT", "CapacityError", "ConfigurationSpace", "bfs_distance",
                "component", "diameter", "distance_distribution", "distance_map",
                "reachable_in_exactly", "shortest_flip_sequence"),
-    "transform": ("Distance", "distance", "distance_upper_bound", "exact_t_feasible",
-                  "spanning_tree_transform"),
+    "transform": ("Distance", "distance", "distance_upper_bound", "spanning_tree_transform"),
     "privileged": ("PrivilegedInstance", "Solvability", "UnsolvableError",
                    "cycle_orientation_invariant", "is_valid_restricted_flip",
                    "path_order_invariant", "privileged_transform", "puzzle_instance",

@@ -20,7 +20,7 @@ FAMILY_SIZE_LIMIT = 10 ** 7
 class Graph:
     """Simple undirected graph: no loops, no duplicate edges."""
 
-    __slots__ = ("n", "edges", "adjacency", "_edge_index")
+    __slots__ = ("n", "edges", "adjacency", "_edge_index", "_connected")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
@@ -46,6 +46,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adjacency = tuple(tuple(sorted(nb)) for nb in adj)
+        self._connected: bool | None = None  # is_connected's answer, once searched
 
     @property
     def m(self) -> int:
@@ -79,20 +80,28 @@ class Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.n
+    """True iff every vertex is reachable from every other (n = 0 counts).
+
+    The first call on a graph runs one O(n + m) search and keeps the
+    answer on the graph; a Graph never changes, so later calls, and the
+    shape tests built on this one, read it back in O(1).
+    """
+    if g._connected is None:
+        seen = [False] * g.n
+        count = 0
+        if g.n:
+            seen[0] = True
+            queue = deque([0])
+            count = 1
+            while queue:
+                u = queue.popleft()
+                for v in g.adjacency[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        count += 1
+                        queue.append(v)
+        g._connected = count == g.n
+    return g._connected
 
 
 def make_family(family: str, n: int, seed: int | None = None,
@@ -177,21 +186,13 @@ def is_tree(g: Graph) -> bool:
 
 def is_path(g: Graph) -> bool:
     """True for connected graphs that are simple paths (including n = 1)."""
-    return is_connected(g) and _connected_is_path(g)
+    return (g.m == g.n - 1 and all(g.degree(v) <= 2 for v in range(g.n))
+            and is_connected(g))
 
 
 def is_cycle(g: Graph) -> bool:
-    return _connected_is_cycle(g) and is_connected(g)
-
-
-def _connected_is_path(g: Graph) -> bool:
-    """is_path for a graph already known to be connected."""
-    return g.m == g.n - 1 and all(g.degree(v) <= 2 for v in range(g.n))
-
-
-def _connected_is_cycle(g: Graph) -> bool:
-    """is_cycle for a graph already known to be connected."""
-    return g.n >= 3 and g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
+    return (g.n >= 3 and g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
+            and is_connected(g))
 
 
 def prufer_elimination_order(t: Graph) -> tuple[int, ...]:
@@ -247,12 +248,7 @@ def spanning_tree_not_path(g: Graph) -> Graph:
     """
     if not is_connected(g):
         raise ValueError("graph is not connected")
-    return _connected_spanning_tree_not_path(g)
-
-
-def _connected_spanning_tree_not_path(g: Graph) -> Graph:
-    """spanning_tree_not_path for a graph already known to be connected."""
-    if _connected_is_path(g) or _connected_is_cycle(g):
+    if is_path(g) or is_cycle(g):
         raise ValueError("every spanning tree of a path or cycle is a path")
     u = next(v for v in range(g.n) if g.degree(v) >= 3)
     first = [g.edge_index(u, w) for w in g.adjacency[u][:3]]
@@ -327,5 +323,41 @@ def tree_path(t: Graph, u: int, v: int) -> list[int]:
     return path
 
 
-def tree_distance(t: Graph, u: int, v: int) -> int:
-    return len(tree_path(t, u, v)) - 1
+class _Rooted:
+    """A tree rooted at vertex 0 by one BFS, for O(path) tree paths."""
+
+    __slots__ = ("tree", "parent", "depth", "up_edge")
+
+    def __init__(self, tree: Graph):
+        parent, depth = [-1] * tree.n, [0] * tree.n
+        order = [0]
+        for x in order:
+            for y in tree.adjacency[x]:
+                if y != parent[x]:
+                    parent[y], depth[y] = x, depth[x] + 1
+                    order.append(y)
+        # each vertex's own edge tuple to its parent
+        up_edge: list[tuple[int, ...]] = [()] * tree.n
+        for edge in tree.edges:
+            x, y = edge
+            up_edge[x if parent[x] == y else y] = edge
+        self.tree, self.parent, self.depth, self.up_edge = tree, parent, depth, up_edge
+
+    def path(self, u: int, v: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The u-v path's vertices and its edges in order, by climbing the
+        deeper end until the two ends meet: O(path)."""
+        parent, depth = self.parent, self.depth
+        up: list[int] = []
+        down: list[int] = []
+        while u != v:
+            if depth[u] >= depth[v]:
+                up.append(u)
+                u = parent[u]
+            else:
+                down.append(v)
+                v = parent[v]
+        down.reverse()
+        # each edge is the tree's own tuple, looked up by a C-level map
+        edges = list(map(self.up_edge.__getitem__, up))
+        edges += map(self.up_edge.__getitem__, down)
+        return up + [u] + down, edges

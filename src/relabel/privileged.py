@@ -17,9 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .graph import (
     Graph,
-    _connected_is_cycle,
-    _connected_is_path,
-    _connected_spanning_tree_not_path,
+    _Rooted,
     cycle_vertex_order,
     is_connected,
     is_cycle,
@@ -28,6 +26,7 @@ from .graph import (
     line_graph,
     make_family,
     path_vertex_order,
+    spanning_tree_not_path,
 )
 from .labeling import (
     edges_share_endpoint,
@@ -135,47 +134,7 @@ def sw_swap(tree: Graph, u: int, v: int, labels: Sequence[int],
         raise ValueError("sw_swap needs a tree")
     if not (0 <= u < tree.n and 0 <= v < tree.n):
         raise ValueError(f"vertices {u} and {v} must lie in 0..{tree.n - 1}")
-    return _sw_swap(_rooted(tree), u, v, labels, privileged)
-
-
-class _Rooted(NamedTuple):
-    tree: Graph
-    parent: list[int]
-    depth: list[int]
-    up_edge: list[tuple[int, ...]]   # each vertex's own edge tuple to its parent
-
-
-def _rooted(tree: Graph) -> _Rooted:
-    # the tree rooted at vertex 0, by one BFS
-    parent, depth = [-1] * tree.n, [0] * tree.n
-    order = [0]
-    for x in order:
-        for y in tree.adjacency[x]:
-            if y != parent[x]:
-                parent[y], depth[y] = x, depth[x] + 1
-                order.append(y)
-    up_edge: list[tuple[int, ...]] = [()] * tree.n
-    for edge in tree.edges:
-        x, y = edge
-        up_edge[x if parent[x] == y else y] = edge
-    return _Rooted(tree, parent, depth, up_edge)
-
-
-def _tree_path(rt: _Rooted, u: int, v: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    # the u-v path's vertices and its edges in order, by climbing the
-    # deeper end until the two ends meet: O(path)
-    parent, depth = rt.parent, rt.depth
-    up: list[int] = []
-    down: list[int] = []
-    while u != v:
-        if depth[u] >= depth[v]:
-            up.append(u)
-            u = parent[u]
-        else:
-            down.append(v)
-            v = parent[v]
-    down.reverse()
-    return up + [u] + down, [rt.up_edge[x] for x in up + down]
+    return _sw_swap(_Rooted(tree), u, v, labels, privileged)
 
 
 def _sw_swap(rt: _Rooted, u: int, v: int, labels: Sequence[int],
@@ -183,7 +142,7 @@ def _sw_swap(rt: _Rooted, u: int, v: int, labels: Sequence[int],
     # sw_swap on a tree already rooted: the path's edges down and back
     if u == v:
         return []
-    path, edges = _tree_path(rt, u, v)
+    path, edges = rt.path(u, v)
     off_limits = sum(1 for x in path if labels[x] not in privileged)
     if off_limits > 1:
         raise ValueError(
@@ -209,10 +168,10 @@ def _farthest_avoiding(tree: Graph, src: int, banned: int) -> int:
 
 def _maximal_path_through(rt: _Rooted, u: int, v: int) -> list[int]:
     # longest tree path containing the u-v path as a sub-path
-    path = _tree_path(rt, u, v)[0]
+    path = rt.path(u, v)[0]
     u_end = _farthest_avoiding(rt.tree, u, path[1])
     v_end = _farthest_avoiding(rt.tree, v, path[-2])
-    return _tree_path(rt, u_end, u)[0][:-1] + path + _tree_path(rt, v, v_end)[0][1:]
+    return rt.path(u_end, u)[0][:-1] + path + rt.path(v, v_end)[0][1:]
 
 
 def _run_sw_plan(rt: _Rooted, plan: Sequence[tuple[int, int]], cur: list[int],
@@ -262,7 +221,7 @@ def tree_swap_sequence(tree: Graph, u: int, v: int, labels: Sequence[int],
     nonpriv = [x for x in range(tree.n) if labels[x] not in privileged]
     if len(nonpriv) != 2:
         raise ValueError(f"exactly two non-privileged labels required, found {len(nonpriv)}")
-    return _tree_swap(_rooted(tree), u, v, list(labels), privileged, nonpriv)
+    return _tree_swap(_Rooted(tree), u, v, list(labels), privileged, nonpriv)
 
 
 def _tree_swap(rt: _Rooted, u: int, v: int, cur: list[int],
@@ -271,7 +230,7 @@ def _tree_swap(rt: _Rooted, u: int, v: int, cur: list[int],
     # tree_swap_sequence on arguments it has checked: a non-path tree,
     # u != v, and nonpriv the two vertices holding non-privileged labels;
     # transposes the labels at u and v in cur
-    path = _tree_path(rt, u, v)[0]
+    path = rt.path(u, v)[0]
     on_path = [x for x in nonpriv if x in set(path)]
     if len(on_path) <= 1:
         return _run_sw_plan(rt, [(u, v)], cur, privileged)
@@ -303,20 +262,15 @@ def solvable(inst: PrivilegedInstance) -> Solvability:
     """
     if inst.kind == "edge":
         inst = _line_graph_instance(inst)
-    if not is_connected(inst.graph):
-        raise ValueError("graph is not connected")
-    return _solvable_connected(inst)
-
-
-def _solvable_connected(inst: PrivilegedInstance) -> Solvability:
-    """solvable for a vertex instance on a graph already known to be connected."""
     g = inst.graph
+    if not is_connected(g):
+        raise ValueError("graph is not connected")
     if inst.from_labels == inst.to_labels:
         return Solvability("yes", "theorem")
     k = len(inst.nonprivileged())
     if k <= 1:
         return Solvability("yes", "theorem")
-    if _connected_is_path(g):
+    if is_path(g):
         if not path_order_invariant(inst):
             return Solvability("no", "invariant")
         return Solvability("unknown_use_oracle", None)
@@ -324,7 +278,7 @@ def _solvable_connected(inst: PrivilegedInstance) -> Solvability:
         if g.n >= 4:
             return Solvability("yes", "theorem")
         return Solvability("unknown_use_oracle", None)
-    if _connected_is_cycle(g):
+    if is_cycle(g):
         if not cycle_orientation_invariant(inst):
             return Solvability("no", "invariant")
         return Solvability("unknown_use_oracle", None)
@@ -392,21 +346,21 @@ def privileged_transform(inst: PrivilegedInstance,
     frm, to = inst.from_labels, inst.to_labels
     if frm == to:
         return []
-    if _solvable_connected(inst).answer == "no":
+    if solvable(inst).answer == "no":
         raise UnsolvableError("certified by the order/orientation invariant")
     if len(nonpriv) <= 1:
         return spanning_tree_transform(g, frm, to)
-    if _connected_is_path(g):
+    if is_path(g):
         space = ConfigurationSpace(g, privileged=inst.privileged, capacity=capacity)
         seq = shortest_flip_sequence(space, frm, to)
         if seq is None:
             raise UnsolvableError("restricted BFS exhausted the component")
         return seq
-    if _connected_is_cycle(g):
+    if is_cycle(g):
         return _cycle_transform(g, frm, to, inst.privileged)
     # a non-path spanning tree by construction, and cur always holds the
     # instance's two non-privileged labels: the unchecked swap applies
-    rt = _rooted(_connected_spanning_tree_not_path(g))
+    rt = _Rooted(spanning_tree_not_path(g))
     cur = list(frm)
     where = list(inverse(frm))
     a_lab, b_lab = nonpriv

@@ -12,44 +12,37 @@ equivalence, flip for flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .graph import Graph, line_graph
 from .labeling import validate_edge_labeling, validate_vertex_labeling
 
 
 @dataclass(frozen=True)
-class VertexInstance:
-    kind = "vertex"  # a class attribute, not a dataclass field
+class _Instance:
+    # a relabeling instance without privileged labels; kind picks the validator
+    kind: ClassVar[str]
     graph: Graph
     from_labels: tuple[int, ...]
     to_labels: tuple[int, ...]
     t: int
 
     def __post_init__(self):
-        object.__setattr__(self, "from_labels",
-                           validate_vertex_labeling(self.graph, self.from_labels))
-        object.__setattr__(self, "to_labels",
-                           validate_vertex_labeling(self.graph, self.to_labels))
+        validate = validate_vertex_labeling if self.kind == "vertex" else validate_edge_labeling
+        object.__setattr__(self, "from_labels", validate(self.graph, self.from_labels))
+        object.__setattr__(self, "to_labels", validate(self.graph, self.to_labels))
         if self.t < 0:
             raise ValueError("bound t must be nonnegative")
 
 
 @dataclass(frozen=True)
-class EdgeInstance:
-    kind = "edge"
-    graph: Graph
-    from_labels: tuple[int, ...]
-    to_labels: tuple[int, ...]
-    t: int
+class VertexInstance(_Instance):
+    kind = "vertex"
 
-    def __post_init__(self):
-        object.__setattr__(self, "from_labels",
-                           validate_edge_labeling(self.graph, self.from_labels))
-        object.__setattr__(self, "to_labels",
-                           validate_edge_labeling(self.graph, self.to_labels))
-        if self.t < 0:
-            raise ValueError("bound t must be nonnegative")
+
+@dataclass(frozen=True)
+class EdgeInstance(_Instance):
+    kind = "edge"
 
 
 def pendant_graph(g: Graph) -> Graph:

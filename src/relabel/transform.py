@@ -2,12 +2,14 @@
 
 The constructive transformation routes labels home one vertex at a time
 along a spanning tree, in leaf elimination order, never touching vertices
-already completed; it uses at most n(n-1)/2 flips.  Placing the labels
-takes O(n + flips) time and O(n) memory, on top of building the BFS
-spanning tree, O(n + m), and its leaf order, O(n log n).  Each flip is
-its tree edge's one shared tuple, so a sequence costs 8 bytes a flip,
-and the tree-bound distance only sums step lengths.  The exact
-minimum for small graphs comes from the BFS oracle.
+already completed; it uses at most n(n-1)/2 flips.  The route from the
+label's holder to its home is the one tree path between them, found by
+climbing the tree rooted once at vertex 0.  Placing the labels takes
+O(n + flips) time and O(n) memory, on top of building the BFS spanning
+tree, O(n + m), and its leaf order, O(n log n).  Each flip is its tree
+edge's one shared tuple, so a sequence costs 8 bytes a flip, and the
+tree-bound distance only sums step lengths.  The exact minimum for small
+graphs comes from the BFS oracle.
 
 ``distance`` is the only place that chooses how a distance query is
 answered: the path and star closed forms, the BFS oracle within its
@@ -22,6 +24,7 @@ from .exact_path import path_distance
 from .exact_star import star_distance
 from .graph import (
     Graph,
+    _Rooted,
     is_connected,
     is_path,
     is_tree,
@@ -29,9 +32,9 @@ from .graph import (
     prufer_elimination_order,
     spanning_tree,
 )
-from .labeling import exact_t_rule, relative_permutation, validate_vertex_labeling
+from .labeling import validate_vertex_labeling
 from .oracle import CAPACITY_LIMIT, CapacityError, ConfigurationSpace, bfs_distance
-from .perm import inverse, parity
+from .perm import inverse
 
 METHODS = ("auto", "path", "star", "bfs", "tree-bound")
 
@@ -40,47 +43,26 @@ def _transform_steps(g: Graph, labels: Sequence[int], target: Sequence[int]
                      ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Yield (vertex, flips) per placement iteration; shared by the public API.
 
-    Every residual tree holds the last vertex of the elimination order, so
-    rooted there, a vertex's parent is its one neighbor eliminated later,
-    and a holder-to-v path is found by climbing from whichever end is
-    eliminated first until the two ends meet.  The flip across a tree
-    edge is that edge's own tuple in tree.edges, shared by every step
-    that crosses it; the label bound for v moves by one rotation of the
-    labels along the path.
+    Each residual tree is a subtree holding both the label's holder and
+    v, so the holder-to-v path in it is the whole tree's one path between
+    them.  The flip across a tree edge is that edge's own tuple in
+    tree.edges, shared by every step that crosses it; the label bound for
+    v moves by one rotation of the labels along the path.
     """
     frm = validate_vertex_labeling(g, labels)
     to = validate_vertex_labeling(g, target)
     tree = spanning_tree(g)
     order = prufer_elimination_order(tree)
-    rank = inverse(order)
-    # the root's entries are never read: no climb passes the last-eliminated vertex
-    parent = list(range(tree.n))
-    up_edge: list[tuple[int, ...]] = [()] * tree.n
-    for edge in tree.edges:
-        x, y = sorted(edge, key=rank.__getitem__)
-        parent[x], up_edge[x] = y, edge
+    rt = _Rooted(tree)
     cur = list(frm)
     where = list(inverse(frm))
     for v in order[:-1]:
-        a, b = where[to[v]], v
-        up: list[int] = []
-        down: list[int] = []
-        while a != b:
-            if rank[a] < rank[b]:
-                up.append(a)
-                a = parent[a]
-            else:
-                down.append(b)
-                b = parent[b]
-        down.reverse()
-        # the path is up, the meeting vertex, then down: the holder's label
-        # moves to v and every other label on it one vertex back
-        path = up + [a] + down
+        path, flips = rt.path(where[to[v]], v)
+        # the holder's label moves to v and every other label on the path
+        # one vertex back
         for x, label in zip(path, [cur[x] for x in path[1:]] + [to[v]]):
             cur[x] = label
             where[label] = x
-        flips = list(map(up_edge.__getitem__, up))
-        flips += map(up_edge.__getitem__, down)
         yield v, flips
     assert cur == list(to)
 
@@ -171,17 +153,3 @@ def distance(g: Graph, labels: Sequence[int], target: Sequence[int],
     # the sequence's length, one step at a time: O(n) memory
     steps = _transform_steps(g, labels, target)
     return Distance(sum(len(step) for _, step in steps), False, "tree-bound")
-
-
-def exact_t_feasible(g: Graph, labels: Sequence[int], target: Sequence[int],
-                     t: int, capacity: int = CAPACITY_LIMIT) -> bool:
-    """True iff exactly t flips can turn labels into target.
-
-    Feasible exactly when t is at least the BFS distance and of the same
-    parity, and a distance of 0 < t finds an edge to flip; the distance
-    parity equals the relative permutation's parity.  A target in another
-    component (on a disconnected graph) is infeasible for every t.
-    """
-    d = bfs_distance(ConfigurationSpace(g, capacity=capacity), labels, target)
-    assert d is None or d % 2 == parity(relative_permutation(labels, target))
-    return exact_t_rule(d, t, g.m > 0)

@@ -1,8 +1,30 @@
+import sys
 from collections import deque
 
 import pytest
 
+import relabel.graph
 from relabel.labeling import apply_edge_flip, edges_share_endpoint
+
+
+@pytest.fixture
+def connectivity_searches(monkeypatch):
+    """The graphs graph.is_connected searched, one entry per O(n + m) search.
+
+    Wraps the queue that graph's searches build and keeps the graph of each
+    one is_connected builds, so reading a kept answer records nothing.
+    """
+    searched = []
+
+    class Queue(deque):
+        def __init__(self, *args):
+            caller = sys._getframe(1)
+            if caller.f_code is relabel.graph.is_connected.__code__:
+                searched.append(caller.f_locals["g"])
+            super().__init__(*args)
+
+    monkeypatch.setattr(relabel.graph, "deque", Queue)
+    return searched
 
 
 @pytest.fixture

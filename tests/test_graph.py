@@ -13,7 +13,6 @@ from relabel.graph import (
     prufer_elimination_order,
     spanning_tree,
     spanning_tree_not_path,
-    tree_distance,
     tree_path,
 )
 
@@ -167,4 +166,21 @@ def test_tree_path():
         assert len(set(path)) == len(path)
         for a, b in zip(path, path[1:]):
             assert t.has_edge(a, b)
-        assert tree_distance(t, u, v) == len(path) - 1
+
+
+def test_is_connected_is_kept_on_each_graph(connectivity_searches):
+    # K_{1,3} plus an isolated vertex: one search, then the kept False
+    g = Graph(5, [(0, 1), (0, 2), (0, 3)])
+    assert [is_connected(g) for _ in range(3)] == [False] * 3
+    assert not is_tree(g) and not is_path(g) and not is_cycle(g)
+    for build in (spanning_tree, spanning_tree_not_path):
+        with pytest.raises(ValueError, match="not connected"):
+            build(g)
+    # its line graph is K_3, a new graph that answers for itself
+    lg = line_graph(g)
+    assert is_connected(lg) and is_cycle(lg)
+    # so does a spanning tree, also when its graph has answered already
+    grid = make_family("grid", 3)
+    tree = spanning_tree(grid)
+    assert is_tree(tree) and is_connected(grid)
+    assert [id(x) for x in connectivity_searches] == [id(g), id(lg), id(grid), id(tree)]

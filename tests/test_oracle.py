@@ -64,7 +64,7 @@ def test_reachable_in_exactly_matches_walk_frontiers():
     # to is reachable in exactly t flips iff it lies in S_t
     cases = [(make_family("path", 4), None), (make_family("cycle", 4), None),
              (make_family("star", 4), None), (make_family("grid", 2), {3}),
-             (make_family("path", 1), None)]
+             (make_family("path", 1), None), (Graph(4, [(0, 1), (2, 3)]), None)]
     for g, priv in cases:
         space = ConfigurationSpace(g, privileged=priv)
         labelings = list(itertools.permutations(range(g.n)))

@@ -636,28 +636,18 @@ def test_tree_transform_is_not_quadratic():
     assert tuple(cur) == inst.to_labels
 
 
-def test_transform_checks_connectivity_once(monkeypatch):
-    # graph.is_connected is O(n + m); privileged_transform runs it once and
-    # reads path, cycle and spanning-tree shape off the connected graph
-    import relabel.graph
-    import relabel.privileged
-
-    calls = []
-    real = relabel.graph.is_connected
-
-    def counted(g):
-        calls.append(g.n)
-        return real(g)
+def test_transform_checks_connectivity_once(connectivity_searches):
+    # graph.is_connected is O(n + m) once per graph: privileged_transform
+    # searches its graph once and reads path, cycle and spanning-tree shape
+    # off the kept answer; a second run searches nothing
     rng = random.Random(19)
     cases = [random_tree(rng, 100), make_family("grid", 6),
              Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])]
     for g in cases:
         inst = two_nonprivileged(rng, g)
+        connectivity_searches.clear()
         want = privileged_transform(inst)
-        for module in (relabel.graph, relabel.privileged):
-            monkeypatch.setattr(module, "is_connected", counted)
-        calls.clear()
+        assert [id(x) for x in connectivity_searches] == [id(g)]
         assert privileged_transform(inst) == want
-        assert calls == [g.n]
-        monkeypatch.undo()
+        assert len(connectivity_searches) == 1
         replay(inst, want)

@@ -26,7 +26,6 @@ from relabel.transform import (
     _transform_steps,
     distance,
     distance_upper_bound,
-    exact_t_feasible,
     spanning_tree_transform,
 )
 
@@ -158,41 +157,6 @@ def test_upper_bound_values():
         distance_upper_bound(make_family("path", 3), mode="face")
 
 
-def test_exact_t_feasible():
-    p3 = make_family("path", 3)
-    ident = identity_labeling(3)
-    assert exact_t_feasible(p3, ident, ident, 0)
-    assert not exact_t_feasible(p3, (1, 0, 2), ident, 2)
-    c4 = make_family("cycle", 4)
-    rng = random.Random(31)
-    for _ in range(10):
-        a = tuple(rng.sample(range(4), 4))
-        b = tuple(rng.sample(range(4), 4))
-        d = distance(c4, a, b, "bfs").distance
-        assert exact_t_feasible(c4, a, b, d)
-        assert not exact_t_feasible(c4, a, b, d + 1)
-        assert exact_t_feasible(c4, a, b, d + 2)
-    # the 1-vertex graph has no flip to pad with
-    p1 = make_family("path", 1)
-    space = ConfigurationSpace(p1)
-    for t in range(4):
-        assert exact_t_feasible(p1, (0,), (0,), t) == \
-            reachable_in_exactly(space, (0,), (0,), t) == (t == 0)
-
-
-def test_exact_t_feasible_agrees_with_the_oracle_on_a_disconnected_graph():
-    # both answer False for a target in another component, for every t
-    two_edges = Graph(4, [(0, 1), (2, 3)])
-    space = ConfigurationSpace(two_edges)
-    ident = identity_labeling(4)
-    for a in ((2, 1, 0, 3), (1, 0, 2, 3), (1, 0, 3, 2), ident):
-        for t in range(5):
-            assert exact_t_feasible(two_edges, a, ident, t) == \
-                reachable_in_exactly(space, a, ident, t)
-    assert not any(exact_t_feasible(two_edges, (2, 1, 0, 3), ident, t) for t in range(5))
-    assert exact_t_feasible(two_edges, (1, 0, 3, 2), ident, 2)
-
-
 def test_p_g_agrees_with_closed_forms():
     # auto answers paths and stars by their closed forms, equal to the BFS
     # distance on every ordered pair of P_5 and K_{1,4}, in canonical order
@@ -272,6 +236,23 @@ def test_distance_falls_back_past_capacity():
         (len(spanning_tree_transform(c6, rev6, identity_labeling(6))), False, "tree-bound")
     with pytest.raises(CapacityError):
         distance(c6, rev6, identity_labeling(6), "bfs", 719)
+
+
+def test_distance_searches_connectivity_once_per_graph(connectivity_searches):
+    # past capacity, auto reads g's shape four times and the transform
+    # reads its spanning tree's once: one search of each graph, and a
+    # second request searches only its own new spanning tree
+    g = make_family("random_connected", 12, seed=4)
+    g = Graph(g.n, g.edges)  # a copy with no answer kept yet
+    connectivity_searches.clear()
+    ident = identity_labeling(12)
+    rev = tuple(reversed(ident))
+    assert distance(g, ident, rev).method == "tree-bound"
+    assert [x is g for x in connectivity_searches] == [True, False]
+    assert connectivity_searches[1].m == g.n - 1
+    assert distance(g, rev, ident).method == "tree-bound"
+    assert [x is g for x in connectivity_searches] == [True, False, False]
+    assert len({id(x) for x in connectivity_searches}) == 3
 
 
 def test_p_g_diameter_values():
