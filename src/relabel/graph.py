@@ -2,7 +2,9 @@
 
 Vertices are 0..n-1.  The edge list order is significant: edge labelings
 align with ``Graph.edges`` by index.  All tie-breaking is by lowest vertex
-or edge index so every construction is reproducible.
+or edge index so every construction is reproducible.  Every traversal
+here is the one breadth-first search ``_bfs``, except ``tree_path``, kept
+as the independent reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -79,6 +81,31 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _bfs(g: Graph, root: int = 0, block: int = -1
+         ) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from root, neighbours in index order, that
+    never enters block: the vertices in discovery order, each vertex's
+    parent (root's is root, -1 where not reached) and its depth (0 where
+    not reached).  On n = 0 the order is empty."""
+    parent, depth = [-1] * g.n, [0] * g.n
+    if not g.n:
+        return [], parent, depth
+    if block >= 0:
+        parent[block] = block  # seen, so never entered
+    parent[root] = root
+    order = [root]
+    adjacency = g.adjacency
+    for u in order:  # grows as it is read
+        d = depth[u] + 1
+        for v in adjacency[u]:
+            if parent[v] < 0:
+                parent[v], depth[v] = u, d
+                order.append(v)
+    if block >= 0:
+        parent[block] = -1
+    return order, parent, depth
+
+
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from every other (n = 0 counts).
 
@@ -87,20 +114,7 @@ def is_connected(g: Graph) -> bool:
     shape tests built on this one, read it back in O(1).
     """
     if g._connected is None:
-        seen = [False] * g.n
-        count = 0
-        if g.n:
-            seen[0] = True
-            queue = deque([0])
-            count = 1
-            while queue:
-                u = queue.popleft()
-                for v in g.adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        count += 1
-                        queue.append(v)
-        g._connected = count == g.n
+        g._connected = len(_bfs(g)[0]) == g.n
     return g._connected
 
 
@@ -166,18 +180,8 @@ def spanning_tree(g: Graph) -> Graph:
     """BFS spanning tree from vertex 0, visiting neighbors in index order."""
     if not is_connected(g):
         raise ValueError("graph is not connected")
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    edges = []
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                edges.append((u, v))
-                queue.append(v)
-    return Graph(g.n, edges)
+    order, parent, _ = _bfs(g)
+    return Graph(g.n, [(parent[v], v) for v in order[1:]])
 
 
 def is_tree(g: Graph) -> bool:
@@ -276,28 +280,16 @@ def path_vertex_order(g: Graph) -> list[int]:
     """Vertices of a path graph in traversal order, from the lowest endpoint."""
     if not is_path(g):
         raise ValueError("graph is not a path")
-    if g.n == 1:
-        return [0]
-    start = min(v for v in range(g.n) if g.degree(v) == 1)
-    order = [start]
-    prev = -1
-    while len(order) < g.n:
-        cur = order[-1]
-        nxt = next(x for x in g.adjacency[cur] if x != prev)
-        prev = cur
-        order.append(nxt)
-    return order
+    return _bfs(g, min((v for v in range(g.n) if g.degree(v) == 1), default=0))[0]
 
 
 def cycle_vertex_order(g: Graph) -> list[int]:
     """Vertices of a cycle graph in walk order, from 0 toward its lowest neighbor."""
     if not is_cycle(g):
         raise ValueError("graph is not a cycle")
-    order = [0, min(g.adjacency[0])]
-    while len(order) < g.n:
-        prev, cur = order[-2], order[-1]
-        order.append(next(x for x in g.adjacency[cur] if x != prev))
-    return order
+    # with 0's higher neighbor blocked, the search walks the cycle the other way
+    last = max(g.adjacency[0])
+    return _bfs(g, 0, last)[0] + [last]
 
 
 def tree_path(t: Graph, u: int, v: int) -> list[int]:
@@ -324,18 +316,13 @@ def tree_path(t: Graph, u: int, v: int) -> list[int]:
 
 
 class _Rooted:
-    """A tree rooted at vertex 0 by one BFS, for O(path) tree paths."""
+    """A tree rooted at vertex 0 by _bfs, for O(path) tree paths.  The
+    root is its own parent; path() never climbs past depth 0."""
 
     __slots__ = ("tree", "parent", "depth", "up_edge")
 
     def __init__(self, tree: Graph):
-        parent, depth = [-1] * tree.n, [0] * tree.n
-        order = [0]
-        for x in order:
-            for y in tree.adjacency[x]:
-                if y != parent[x]:
-                    parent[y], depth[y] = x, depth[x] + 1
-                    order.append(y)
+        _, parent, depth = _bfs(tree)
         # each vertex's own edge tuple to its parent
         up_edge: list[tuple[int, ...]] = [()] * tree.n
         for edge in tree.edges:

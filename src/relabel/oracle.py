@@ -17,7 +17,8 @@ legal, so the search looks them up by position; with more it keeps the
 flips incident to any privileged label's position.  Keys turn back into
 labelings only where a query returns them; diameters and histograms
 read the level sizes alone.
-One O(n + m) pass over the base graph per space ends searches early.
+One breadth-first search per component of the base graph, once per
+space, ends searches early.
 A label never leaves its component of the base graph, so a target that
 moves one out is "not reached" at once.  Unrestricted, a component holds
 all such arrangements, the product of |C|! over the components C, and a
@@ -40,7 +41,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
-from .graph import Graph, line_graph
+from .graph import Graph, _bfs, line_graph
 from .labeling import exact_t_rule, identity_labeling, validate_vertex_labeling
 from .perm import parity
 
@@ -102,20 +103,18 @@ class ConfigurationSpace:
         """A map of keys constant on each component, and the size of every
         component when known (else 0).  Call on at most 256 positions (see
         _keys): a component is named by its lowest position, which must fit
-        a byte."""
+        a byte.  One graph._bfs per component gives its positions, and the
+        parity of their depths a 2-colouring wherever one exists."""
         g = self.base
-        comp, colour = bytearray(256), bytearray(b"\2" * 256)  # 2: not seen yet
-        size, bipartite = 1, True
-        for root in (v for v in range(g.n) if colour[v] == 2):  # one per component
-            colour[root], block = 0, [root]
-            for u in block:  # grows as it is read: a breadth-first search
-                comp[u] = root
-                for v in g.adjacency[u]:
-                    if colour[v] == 2:
-                        colour[v] = colour[u] ^ 1
-                        block.append(v)
-                    bipartite = bipartite and colour[v] != colour[u]
-            size *= math.factorial(len(block))
+        comp, colour = bytearray(range(256)), bytearray(256)
+        size = 1
+        for root in range(g.n):
+            if comp[root] == root:  # the lowest position of a new component
+                order, _, depth = _bfs(g, root)
+                for v in order:
+                    comp[v], colour[v] = root, depth[v] & 1
+                size *= math.factorial(len(order))
+        bipartite = all(colour[u] != colour[v] for u, v in g.edges)
         table, s = bytes(comp), self.privileged
         if s is not None and len(s) == 1 and bipartite:
             (label,) = s

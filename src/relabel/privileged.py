@@ -11,13 +11,13 @@ builder.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .graph import (
     Graph,
     _Rooted,
+    _bfs,
     cycle_vertex_order,
     is_connected,
     is_cycle,
@@ -151,19 +151,11 @@ def _sw_swap(rt: _Rooted, u: int, v: int, labels: Sequence[int],
 
 
 def _farthest_avoiding(tree: Graph, src: int, banned: int) -> int:
-    # lowest-index farthest vertex from src without taking the edge src-banned
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y in tree.adjacency[x]:
-            if x == src and y == banned:
-                continue
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    far = max(dist.values())
-    return min(x for x, d in dist.items() if d == far)
+    # lowest-index farthest vertex from src without taking the edge
+    # src-banned, which in a tree is never entering banned
+    order, _, depth = _bfs(tree, src, banned)
+    far = depth[order[-1]]
+    return min(x for x in order if depth[x] == far)
 
 
 def _maximal_path_through(rt: _Rooted, u: int, v: int) -> list[int]:

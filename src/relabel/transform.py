@@ -51,6 +51,8 @@ def _transform_steps(g: Graph, labels: Sequence[int], target: Sequence[int]
     """
     frm = validate_vertex_labeling(g, labels)
     to = validate_vertex_labeling(g, target)
+    if not g.n:
+        return  # nothing to place; the empty graph has no spanning tree to eliminate
     tree = spanning_tree(g)
     order = prufer_elimination_order(tree)
     rt = _Rooted(tree)

@@ -11,19 +11,18 @@ from relabel.labeling import apply_edge_flip, edges_share_endpoint
 def connectivity_searches(monkeypatch):
     """The graphs graph.is_connected searched, one entry per O(n + m) search.
 
-    Wraps the queue that graph's searches build and keeps the graph of each
-    one is_connected builds, so reading a kept answer records nothing.
+    Wraps graph's one breadth-first search and keeps the graph of each
+    call is_connected makes, so reading a kept answer records nothing.
     """
     searched = []
+    bfs = relabel.graph._bfs
 
-    class Queue(deque):
-        def __init__(self, *args):
-            caller = sys._getframe(1)
-            if caller.f_code is relabel.graph.is_connected.__code__:
-                searched.append(caller.f_locals["g"])
-            super().__init__(*args)
+    def recording_bfs(g, *args):
+        if sys._getframe(1).f_code is relabel.graph.is_connected.__code__:
+            searched.append(g)
+        return bfs(g, *args)
 
-    monkeypatch.setattr(relabel.graph, "deque", Queue)
+    monkeypatch.setattr(relabel.graph, "_bfs", recording_bfs)
     return searched
 
 

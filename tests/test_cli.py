@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -127,6 +128,26 @@ def test_disconnected_graph_answers(capsys, tmp_path):
         for command in ("distance", "transform"):
             assert_input_error(capsys, command, "--graph", graph, "--from", frm,
                                "--to", ident, "--method", "tree-bound")
+
+
+def test_empty_graph_is_solved(tmp_path):
+    # n = 0: every method answers with nothing to do, exit 0, and no traceback
+    graph = write(tmp_path, "empty.json", {"n": 0, "edges": []})
+    empty = write(tmp_path, "empty_labels.json", {"labels": []})
+    want = {
+        ("transform", "tree-bound"): {"flips": []},
+        ("transform", "bfs"): {"flips": []},
+        ("distance", "tree-bound"): {"distance": 0, "exact": False, "method": "tree-bound"},
+        ("distance", "bfs"): {"distance": 0, "exact": True, "method": "bfs"},
+        ("distance", "auto"): {"distance": 0, "exact": True, "method": "bfs"},
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(relabel.__file__).parents[1])}
+    for (command, method), out in want.items():
+        done = subprocess.run([sys.executable, "-m", "relabel.cli", command, "--graph", graph,
+                               "--from", empty, "--to", empty, "--method", method],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert (done.returncode, done.stderr) == (0, ""), (command, method, done.stderr)
+        assert json.loads(done.stdout) == out
 
 
 def test_position_limit_exits_3(capsys, tmp_path):

@@ -4,12 +4,14 @@ import pytest
 
 from relabel.graph import (
     Graph,
+    cycle_vertex_order,
     is_connected,
     is_cycle,
     is_path,
     is_tree,
     line_graph,
     make_family,
+    path_vertex_order,
     prufer_elimination_order,
     spanning_tree,
     spanning_tree_not_path,
@@ -67,6 +69,38 @@ def test_spanning_tree_bfs_tie_breaks():
     assert spanning_tree(make_family("cycle", 4)).edges == ((0, 1), (0, 3), (1, 2))
     # on K_3 both other vertices are reached directly from 0
     assert spanning_tree(make_family("complete", 3)).edges == ((0, 1), (0, 2))
+    # on the 3x3 grid the edges come in BFS discovery order
+    assert spanning_tree(make_family("grid", 3)).edges == (
+        (0, 1), (0, 3), (1, 2), (1, 4), (3, 6), (2, 5), (4, 7), (5, 8))
+
+
+def test_spanning_tree_of_empty_graph():
+    assert spanning_tree(Graph(0, [])) == Graph(0, [])
+
+
+def relabelled(g, rng):
+    # g with its vertex indices randomly permuted
+    name = list(range(g.n))
+    rng.shuffle(name)
+    return Graph(g.n, [(name[u], name[v]) for u, v in g.edges])
+
+
+def test_path_and_cycle_orders_walk_the_graph():
+    rng = random.Random(18)
+    for n in (1, 2, 3, 4, 7, 30):
+        for _ in range(10):
+            p = relabelled(make_family("path", n), rng)
+            order = path_vertex_order(p)
+            assert order[0] == min((v for v in range(n) if p.degree(v) == 1), default=0)
+            assert sorted(order) == list(range(n))
+            assert all(p.has_edge(a, b) for a, b in zip(order, order[1:]))
+            if n < 3:
+                continue
+            c = relabelled(make_family("cycle", n), rng)
+            order = cycle_vertex_order(c)
+            assert order[:2] == [0, min(c.adjacency[0])]
+            assert sorted(order) == list(range(n))
+            assert all(c.has_edge(a, b) for a, b in zip(order, order[1:] + order[:1]))
 
 
 def test_spanning_tree_disconnected():
