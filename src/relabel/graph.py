@@ -81,6 +81,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _assemble(n: int, edges: tuple[tuple[int, int], ...],
+              adjacency: tuple[tuple[int, ...], ...]) -> Graph:
+    """A Graph filled from parts its caller has built valid: edges
+    normalized (u < v) and distinct, and adjacency the sorted neighbour
+    rows of those edges.  Nothing is checked; Graph(n, edges) checks."""
+    g = Graph.__new__(Graph)
+    g.n, g.edges, g.adjacency = n, edges, adjacency
+    g._edge_index = dict(zip(edges, range(len(edges))))
+    g._connected = None
+    return g
+
+
 def _bfs(g: Graph, root: int = 0, block: int = -1
          ) -> tuple[list[int], list[int], list[int]]:
     """Breadth-first search from root, neighbours in index order, that

@@ -222,10 +222,12 @@ def _tree_swap(rt: _Rooted, u: int, v: int, cur: list[int],
     # tree_swap_sequence on arguments it has checked: a non-path tree,
     # u != v, and nonpriv the two vertices holding non-privileged labels;
     # transposes the labels at u and v in cur
-    path = rt.path(u, v)[0]
-    on_path = [x for x in nonpriv if x in set(path)]
+    path, edges = rt.path(u, v)
+    on_path = [x for x in nonpriv if x in path]
     if len(on_path) <= 1:
-        return _run_sw_plan(rt, [(u, v)], cur, privileged)
+        # one SW, whose check this count already passed
+        cur[u], cur[v] = cur[v], cur[u]
+        return edges + edges[-2::-1]
 
     if cur[u] not in privileged and cur[v] not in privileged:
         return _swap_both_nonpriv(rt, u, v, cur, privileged)
@@ -321,11 +323,13 @@ def privileged_transform(inst: PrivilegedInstance,
     flips are edge flips.  Raises UnsolvableError when no sequence exists.
     Length is not minimized.
 
-    With two non-privileged labels on trees and cycles this takes
-    O(n + flips) time after building the spanning tree, plus an O(n)
-    search each time the two non-privileged labels trade places.  Every
-    flip is the spanning tree's or cycle's own edge tuple, shared by
-    every flip across that edge.
+    With two non-privileged labels on trees this takes O(n + flips) time
+    after building the spanning tree, plus an O(n) search each time the
+    two non-privileged labels trade places.  On cycles it takes
+    O(n + flips), with each run of flips that carries one label along
+    the cycle emitted as one slice of the cycle's own edge tuples.
+    Every flip is the spanning tree's or cycle's own edge tuple, shared
+    by every flip across that edge.
     """
     if inst.kind == "edge":
         inst = _line_graph_instance(inst)
@@ -368,77 +372,74 @@ def privileged_transform(inst: PrivilegedInstance,
 
 def _cycle_transform(g: Graph, frm: tuple[int, ...], to: tuple[int, ...],
                      privileged: frozenset[int]) -> list[tuple[int, int]]:
-    # works on slots, the positions along cycle_vertex_order
-    n = g.n
+    # works on slots, the positions along cycle_vertex_order turned so
+    # that slot 0 is a's home: edge[r] joins slots r and r + 1, and
+    # edge[n - 1] joins n - 1 and 0.  A run of flips carrying one label
+    # from slot j down to slot i < j is edge[i:j][::-1], from i up to j
+    # is edge[i:j], and moves the labels by one rotation of at[i:j + 1];
+    # only the nudge, a's forward route and the gate cross slot 0.
+    n, last = g.n, g.n - 1
+    a_lab, b_lab = [lab for lab in range(n) if lab not in privileged]
     order = cycle_vertex_order(g)
-    # the graph's own tuple for the edge from slot s to slot s + 1
-    edge = [g.edges[g.edge_index(order[s], order[(s + 1) % n])] for s in range(n)]
+    r = order.index(to.index(a_lab))
+    order = order[r:] + order[:r]
+    # the graph's own tuple for each edge
+    edge = [g.edges[g.edge_index(u, v)] for u, v in zip(order, order[1:] + order[:1])]
     at, goal = [frm[v] for v in order], [to[v] for v in order]
-    slot_of, home = list(inverse(at)), inverse(goal)
+    home = inverse(goal)
+    hb = home[b_lab]
     flips: list[tuple[int, int]] = []
 
-    def do_flip(i: int, j: int) -> None:
-        # i and j are adjacent slots, taken mod n
-        i, j = i % n, j % n
-        flips.append(edge[i] if j == (i + 1) % n else edge[j])
-        at[i], at[j] = at[j], at[i]
-        slot_of[at[i]], slot_of[at[j]] = i, j
+    # nudge b off slot 0; the far neighbor's label is privileged
+    if at[0] == b_lab:
+        s = 1 if at[1] != a_lab else last
+        flips.append(edge[0] if s == 1 else edge[last])
+        at[0], at[s] = at[s], b_lab
 
-    a_lab, b_lab = [lab for lab in range(n) if lab not in privileged]
+    # a home to slot 0 on the side missing b, then b home without passing 0
+    sa, sb = at.index(a_lab), at.index(b_lab)
+    if sb < sa:
+        flips += edge[sa:last]
+        flips.append(edge[last])
+        at[sa:] = at[sa + 1:] + [at[0]]
+        at[0] = a_lab
+    elif sa:
+        flips += edge[:sa][::-1]
+        at[:sa + 1] = [a_lab] + at[:sa]
+    if sb < hb:
+        flips += edge[sb:hb]
+        at[sb:hb + 1] = at[sb + 1:hb + 1] + [b_lab]
+    elif sb > hb:
+        flips += edge[hb:sb][::-1]
+        at[hb:sb + 1] = [b_lab] + at[hb:sb]
 
-    # nudge b off a's home slot; the far neighbor's label is privileged
-    if slot_of[b_lab] == home[a_lab]:
-        s = slot_of[b_lab]
-        step = 1 if at[(s + 1) % n] != a_lab else -1
-        do_flip(s, s + step)
-
-    def route(lab: int, dest: int, avoid: int) -> None:
-        # walk lab around the cycle to slot dest, on the side missing avoid
-        s = slot_of[lab]
-        if s == dest:
-            return
-        fwd = (dest - s) % n
-        step = 1 if (avoid - s) % n > fwd else -1
-        while s != dest:
-            do_flip(s, s + step)
-            s = (s + step) % n
-
-    route(a_lab, home[a_lab], slot_of[b_lab])
-    route(b_lab, home[b_lab], home[a_lab])
-
-    ha, hb = home[a_lab], home[b_lab]
-    len1, len2 = (hb - ha) % n - 1, (ha - hb) % n - 1
-    gate1, gate2 = (ha + 1) % n, (ha - 1) % n
-
-    def in_arc1(lab: int) -> bool:
-        return (home[lab] - gate1) % n < len1
-
-    # exchange wrong-arc labels pairwise through the gate beside a's home;
-    # labels before the first wrong one in either arc stay right, so each
-    # scan resumes where the last one stopped
-    k1 = k2 = 0
+    # the arcs are slots 1..hb - 1 and hb + 1..n - 1; exchange wrong-arc
+    # labels pairwise: carry one down to slot 1 and one up to slot n - 1,
+    # and let the gate triple across a's home swap them.  Labels before
+    # the first wrong one in either arc stay right, so each scan resumes
+    # where the last one stopped
+    k1, k2 = 1, hb + 1
     while True:
-        while k1 < len1 and in_arc1(at[(gate1 + k1) % n]):
+        while k1 < hb and home[at[k1]] < hb:
             k1 += 1
-        if k1 == len1:
+        if k1 == hb:
             break
-        while not in_arc1(at[(hb + 1 + k2) % n]):
+        while home[at[k2]] > hb:
             k2 += 1
-        for s in range(gate1 + k1, gate1, -1):
-            do_flip(s, s - 1)
-        for s in range(hb + 1 + k2, hb + len2):
-            do_flip(s, s + 1)
-        do_flip(ha, gate1)
-        do_flip(ha, gate2)
-        do_flip(ha, gate1)
+        flips += edge[1:k1][::-1]
+        at[1:k1 + 1] = [at[k1]] + at[1:k1]
+        flips += edge[k2:last]
+        at[k2:] = at[k2 + 1:] + [at[k2]]
+        flips += edge[0], edge[last], edge[0]
+        at[1], at[last] = at[last], at[1]
 
-    # place each arc's labels; only privileged labels move
-    for start, length in ((gate1, len1), ((hb + 1) % n, len2)):
-        for k in range(length):
-            j = (slot_of[goal[(start + k) % n]] - start) % n
-            while j > k:
-                do_flip(start + j - 1, start + j)
-                j -= 1
+    # place each slot's label from further along its arc; only privileged
+    # labels move
+    for k in range(1, n):
+        j = at.index(goal[k], k)
+        if j > k:
+            flips += edge[k:j][::-1]
+            at[k:j + 1] = [at[j]] + at[k:j]
     assert at == goal
     return flips
 

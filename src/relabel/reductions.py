@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
-from .graph import Graph, line_graph
+from .graph import Graph, _assemble, line_graph
 from .labeling import validate_edge_labeling, validate_vertex_labeling
 
 
@@ -49,13 +49,22 @@ def pendant_graph(g: Graph) -> Graph:
     """g plus a pendant neighbor n+i for each vertex i.
 
     Edge i < n is the pendant edge of vertex i; edge n+k is g.edges[k].
+    O(n + m): the result is built from g's own checked edges and
+    neighbor rows, with no re-check.
     """
-    edges = [(i, g.n + i) for i in range(g.n)] + list(g.edges)
-    return Graph(2 * g.n, edges)
+    n = g.n
+    edges = tuple(zip(range(n), range(n, 2 * n))) + g.edges
+    # n + i exceeds every vertex of g, so each row stays sorted
+    adjacency = tuple(map(tuple.__add__, g.adjacency, zip(range(n, 2 * n))))
+    return _assemble(2 * n, edges, adjacency + tuple(zip(range(n))))
 
 
 def vertex_to_edge(inst: VertexInstance) -> EdgeInstance:
     """Edge instance on ``pendant_graph(g)`` with flip bound 3t.
+
+    O(n + m): the pendant graph is built from the instance's checked
+    graph without re-checking it, and the fixed labels are appended as
+    one tuple.
 
     With d_V the vertex flip distance of ``inst`` and d_E the edge flip
     distance of the result, the map guarantees:
@@ -73,11 +82,9 @@ def vertex_to_edge(inst: VertexInstance) -> EdgeInstance:
     t = 2 that no-instance becomes an edge yes-instance (5 <= 6).
     """
     g = inst.graph
-    n, m = g.n, g.m
-    g2 = pendant_graph(g)
-    frm = list(inst.from_labels) + [n + k for k in range(m)]
-    to = list(inst.to_labels) + [n + k for k in range(m)]
-    return EdgeInstance(g2, tuple(frm), tuple(to), 3 * inst.t)
+    fixed = tuple(range(g.n, g.n + g.m))
+    return EdgeInstance(pendant_graph(g), inst.from_labels + fixed,
+                        inst.to_labels + fixed, 3 * inst.t)
 
 
 def edge_to_vertex(inst: EdgeInstance) -> VertexInstance:
@@ -94,8 +101,12 @@ def compile_vertex_flips_to_edge_flips(g: Graph, flips: Sequence[Sequence[int]]
     edge {k, l}, that edge with pendant l, then that edge with pendant k
     again, which swaps the pendant labels and restores the edge label.
     """
+    n, index = g.n, g._edge_index
     out: list[tuple[int, int]] = []
     for k, l in flips:
-        e = g.n + g.edge_index(k, l)
-        out.extend([(k, e), (e, l), (e, k)])
+        try:
+            e = n + index[(k, l) if k < l else (l, k)]
+        except KeyError:
+            raise ValueError(f"({k},{l}) is not an edge") from None
+        out += (k, e), (e, l), (e, k)
     return out

@@ -479,7 +479,7 @@ def ref_tree_transform(inst, hits):
     return flips
 
 
-def ref_cycle_transform(g, frm, to, privileged):
+def ref_cycle_transform(g, frm, to, privileged, hits):
     n = g.n
     order = cycle_vertex_order(g)
     slot_of_vertex = {v: i for i, v in enumerate(order)}
@@ -500,6 +500,7 @@ def ref_cycle_transform(g, frm, to, privileged):
     if slot_of(b_lab) == home[a_lab]:
         s = slot_of(b_lab)
         step = 1 if cur[order[(s + 1) % n]] != a_lab else -1
+        hits["nudge up" if step == 1 else "nudge down"] += 1
         do_flip(s, s + step)
 
     def route(lab, dest, avoid):
@@ -508,6 +509,8 @@ def ref_cycle_transform(g, frm, to, privileged):
             return
         fwd = (dest - s) % n
         step = 1 if (avoid - s) % n > fwd else -1
+        name = "a" if lab == a_lab else "b"
+        hits[f"{name} {'up' if step == 1 else 'down'}"] += 1
         while s != dest:
             do_flip(s, s + step)
             s = (s + step) % n
@@ -520,10 +523,12 @@ def ref_cycle_transform(g, frm, to, privileged):
     arc2 = [(hb + k) % n for k in range(1, (ha - hb) % n)]
     set1 = set(arc1)
 
+    exchanges = 0
     while True:
         w1 = [cur[order[s]] for s in arc1 if home[cur[order[s]]] not in set1]
         if not w1:
             break
+        exchanges += 1
         w2 = [cur[order[s]] for s in arc2 if home[cur[order[s]]] in set1]
         p_lab, q_lab = w1[0], w2[0]
         gate1, gate2 = (ha + 1) % n, (ha - 1) % n
@@ -538,6 +543,7 @@ def ref_cycle_transform(g, frm, to, privileged):
         do_flip(ha, gate1)
         do_flip(ha, gate2)
         do_flip(ha, gate1)
+    hits[{0: "no exchange", 1: "one exchange"}.get(exchanges, "several exchanges")] += 1
 
     for arc in (arc1, arc2):
         for k in range(len(arc)):
@@ -588,14 +594,44 @@ def test_tree_transform_matches_bfs_reference():
 
 def test_cycle_transform_matches_reference():
     rng = random.Random(13)
-    for n in range(3, 41):
+    hits = Counter()
+    sizes = list(range(3, 41)) + sorted(random.Random(14).sample(range(41, 201), 12))
+    for n in sizes:
         g = make_family("cycle", n)
-        for _ in range(12):
+        for _ in range(12 if n <= 40 else 3):
             inst = two_nonprivileged(rng, g)
             if inst.from_labels == inst.to_labels:
                 continue
             assert privileged_transform(inst) == ref_cycle_transform(
-                g, inst.from_labels, inst.to_labels, inst.privileged)
+                g, inst.from_labels, inst.to_labels, inst.privileged, hits)
+    big = two_nonprivileged(rng, make_family("cycle", 600))
+    assert privileged_transform(big) == ref_cycle_transform(
+        big.graph, big.from_labels, big.to_labels, big.privileged, hits)
+    # forced branches on C_8, where slot s is vertex s and, with the
+    # identity as target, a (label 2) has its home on slot 2 and b (label
+    # 5) on slot 5; "a up" walks a up from slot 7, over slot 0, to slot 2
+    g = make_family("cycle", 8)
+    forced = {
+        "nudge up": (0, 1, 5, 3, 4, 6, 2, 7),
+        "nudge down": (0, 1, 5, 2, 4, 3, 6, 7),
+        "a up": (0, 1, 7, 3, 5, 6, 4, 2),
+        "a down": (0, 1, 7, 3, 2, 6, 4, 5),
+        "b up": (0, 1, 7, 3, 5, 6, 4, 2),
+        "b down": (0, 1, 7, 3, 2, 6, 4, 5),
+        "no exchange": (0, 1, 2, 3, 4, 5, 7, 6),
+        "several exchanges": (3, 4, 2, 0, 1, 5, 6, 7),
+    }
+    to, S = tuple(range(8)), frozenset(range(8)) - {2, 5}
+    for branch, frm in forced.items():
+        mine = Counter()
+        inst = PrivilegedInstance(g, "vertex", frm, to, S)
+        assert privileged_transform(inst) == ref_cycle_transform(g, frm, to, S, mine)
+        assert mine[branch] == 1, (branch, mine)
+        hits += mine
+    # every branch of the cycle transform is exercised
+    assert set(hits) >= {"nudge up", "nudge down", "a up", "a down", "b up",
+                         "b down", "no exchange", "one exchange",
+                         "several exchanges"}, hits
 
 
 def test_swaps_match_bfs_reference():

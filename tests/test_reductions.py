@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from relabel.graph import line_graph, make_family
+from relabel.graph import Graph, is_connected, line_graph, make_family
 from relabel.labeling import (
     apply_edge_sequence,
     apply_vertex_sequence,
@@ -76,6 +76,49 @@ def test_gadget_compiler():
         direct = apply_vertex_sequence(g, frm, flips)
         assert out[:n] == direct
         assert out[n:] == start[n:]
+
+
+def ref_compile_vertex_flips_to_edge_flips(g, flips):
+    # the per-flip loop as it stood before the one-lookup rewrite
+    out = []
+    for k, l in flips:
+        e = g.n + g.edge_index(k, l)
+        out.extend([(k, e), (e, l), (e, k)])
+    return out
+
+
+def test_gadget_compiler_matches_reference():
+    rng = random.Random(23)
+    for trial in range(40):
+        g = make_family("random_connected", rng.randint(2, 30), seed=trial)
+        flips = [g.edges[rng.randrange(g.m)] for _ in range(rng.randint(0, 50))]
+        for given in (flips, [(l, k) for k, l in flips], [list(f) for f in flips]):
+            assert compile_vertex_flips_to_edge_flips(g, given) == \
+                ref_compile_vertex_flips_to_edge_flips(g, given)
+    g = make_family("path", 4)
+    for bad in ([(0, 2)], [(1, 2), (3, 1)], [[0, 0]], [(0, 9)]):
+        with pytest.raises(ValueError) as want:
+            ref_compile_vertex_flips_to_edge_flips(g, bad)
+        with pytest.raises(ValueError) as got:
+            compile_vertex_flips_to_edge_flips(g, bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_pendant_graph_matches_checked_graph():
+    rng = random.Random(31)
+    graphs = [Graph(0, []), Graph(1, []), make_family("star", 5),
+              Graph(6, [(3, 4), (0, 5), (1, 2)])]  # disconnected
+    graphs += [make_family("random_connected", rng.randint(2, 40), seed=s)
+               for s in range(20)]
+    for g in graphs:
+        n = g.n
+        got = pendant_graph(g)
+        want = Graph(2 * n, [(i, n + i) for i in range(n)] + list(g.edges))
+        assert got == want and got.edges == want.edges
+        assert got.adjacency == want.adjacency
+        for u, v in want.edges:
+            assert got.edge_index(u, v) == got.edge_index(v, u) == want.edge_index(u, v)
+        assert is_connected(got) == is_connected(want) == is_connected(Graph(n, g.edges))
 
 
 def test_edge_to_vertex_examples():
