@@ -66,12 +66,11 @@ def _load_board(source: str) -> tuple[int, ...]:
     return board_from_json(obj)
 
 
-def _capacity(args: argparse.Namespace) -> int:
-    from .oracle import CAPACITY_LIMIT
+def _capacity(args: argparse.Namespace) -> int | None:
+    # the override, announced on stderr; None keeps oracle.CAPACITY_LIMIT
     if args.capacity_override is not None:
         print(f"warning: capacity override {args.capacity_override}", file=sys.stderr)
-        return args.capacity_override
-    return CAPACITY_LIMIT
+    return args.capacity_override
 
 
 def _cmd_gen(args: argparse.Namespace) -> tuple[Any, int]:

@@ -58,7 +58,7 @@ class ConfigurationSpace:
 
     def __init__(self, graph: Graph, mode: str = "vertex",
                  privileged: Sequence[int] | None = None,
-                 capacity: int = CAPACITY_LIMIT):
+                 capacity: int | None = None):
         if mode not in ("vertex", "edge"):
             raise ValueError(f"mode must be 'vertex' or 'edge', got {mode!r}")
         self.graph = graph
@@ -73,7 +73,7 @@ class ConfigurationSpace:
             self.privileged = s
         else:
             self.privileged = None
-        self.capacity = capacity
+        self.capacity = CAPACITY_LIMIT if capacity is None else capacity
 
     @property
     def positions(self) -> int:

@@ -2,11 +2,12 @@
 
 A restricted flip is legal only when at least one of the two swapped
 labels is privileged.  This module provides the restricted-flip check,
-the order/orientation invariants that certify unsolvable path and cycle
-instances, the tree swap procedures SW(u, v) and their composition, a
-constructive solver for instances with at most two non-privileged
-labels, the solvability decider, and the sliding-puzzle instance
-builder.
+the path order and cycle orientation invariants, the tree swaps SW(u, v)
+and their composition, the constructive solver, the solvability decider
+and the sliding-puzzle instance builder.  Theorems decide every path
+(solved optimally), every graph with at most two non-privileged labels
+and every cycle failing its invariant; the rest, three or more
+non-privileged labels on a non-path, is left to the BFS oracle.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from .labeling import (
     validate_edge_labeling,
     validate_vertex_labeling,
 )
-from .oracle import CAPACITY_LIMIT, ConfigurationSpace, shortest_flip_sequence
 from .perm import inverse
-from .transform import spanning_tree_transform
 
 
 class UnsolvableError(Exception):
@@ -74,7 +73,7 @@ class PrivilegedInstance:
 
 class Solvability(NamedTuple):
     answer: str          # "yes" | "no" | "unknown_use_oracle"
-    method: str | None   # "theorem" | "invariant" | None
+    method: str | None   # "theorem" | "invariant", None while unknown_use_oracle
 
 
 def is_valid_restricted_flip(inst: PrivilegedInstance, l_current: Sequence[int],
@@ -118,8 +117,9 @@ def cycle_orientation_invariant(inst: PrivilegedInstance) -> bool:
                 if inst.from_labels[v] not in inst.privileged]
     seq_to = [inst.to_labels[v] for v in order
               if inst.to_labels[v] not in inst.privileged]
-    k = len(seq_from)
-    return any(seq_from[i:] + seq_from[:i] == seq_to for i in range(k))
+    # labels are distinct, so only the rotation starting at seq_to[0] can match
+    i = seq_from.index(seq_to[0])
+    return seq_from[i:] + seq_from[:i] == seq_to
 
 
 def sw_swap(tree: Graph, u: int, v: int, labels: Sequence[int],
@@ -248,51 +248,51 @@ def _tree_swap(rt: _Rooted, u: int, v: int, cur: list[int],
 def solvable(inst: PrivilegedInstance) -> Solvability:
     """Decide solvability where the theory answers; defer the rest.
 
-    yes: at most one non-privileged label, or exactly two on a non-path
-    with at least four vertices.  no: a failed path order or cycle
-    orientation invariant.  Everything else is unknown_use_oracle.  Edge
-    instances are decided on the line graph, where restricted edge flips
-    are restricted vertex flips.
+    yes by theorem: at most one non-privileged label, a path whose
+    non-privileged labels keep their order, or exactly two on any other
+    graph.  no by invariant: a failed path order or cycle orientation
+    invariant.  unknown_use_oracle: three or more on a non-path that no
+    invariant rules out.  Edge instances are decided on the line graph,
+    where restricted edge flips are restricted vertex flips.
+
+    >>> from relabel.graph import make_family
+    >>> solvable(PrivilegedInstance(make_family("path", 4), "vertex", (0, 1, 3, 2),
+    ...                             (3, 0, 1, 2), frozenset({3})))
+    Solvability(answer='yes', method='theorem')
     """
     if inst.kind == "edge":
         inst = _line_graph_instance(inst)
     g = inst.graph
     if not is_connected(g):
         raise ValueError("graph is not connected")
-    if inst.from_labels == inst.to_labels:
-        return Solvability("yes", "theorem")
     k = len(inst.nonprivileged())
-    if k <= 1:
+    if k <= 1 or inst.from_labels == inst.to_labels:
         return Solvability("yes", "theorem")
     if is_path(g):
         if not path_order_invariant(inst):
             return Solvability("no", "invariant")
-        return Solvability("unknown_use_oracle", None)
+        return Solvability("yes", "theorem")
     if k == 2:
-        if g.n >= 4:
-            return Solvability("yes", "theorem")
-        return Solvability("unknown_use_oracle", None)
-    if is_cycle(g):
-        if not cycle_orientation_invariant(inst):
-            return Solvability("no", "invariant")
-        return Solvability("unknown_use_oracle", None)
+        return Solvability("yes", "theorem")
+    if is_cycle(g) and not cycle_orientation_invariant(inst):
+        return Solvability("no", "invariant")
     return Solvability("unknown_use_oracle", None)
 
 
 def _line_graph_instance(inst: PrivilegedInstance) -> PrivilegedInstance:
-    if inst.kind != "edge":
-        raise ValueError("expected an edge instance")
     return PrivilegedInstance(line_graph(inst.graph), "vertex", inst.from_labels,
                               inst.to_labels, inst.privileged, inst.t)
 
 
 def resolve_solvable(inst: PrivilegedInstance, want_witness: bool = False,
-                     capacity: int = CAPACITY_LIMIT
+                     capacity: int | None = None
                      ) -> tuple[str, str, list[tuple[int, int]] | None]:
     """Full decision: theory first, restricted BFS for the deferred cases.
 
     Returns (answer, method, witness); the witness is a restricted flip
-    sequence when requested and the answer is yes.
+    sequence when requested and the answer is yes.  What solvable leaves
+    unknown goes to the oracle within capacity (None: CAPACITY_LIMIT),
+    whose witness is a shortest one.
     """
     vinst = inst if inst.kind == "vertex" else _line_graph_instance(inst)
     dec = solvable(vinst)
@@ -301,6 +301,7 @@ def resolve_solvable(inst: PrivilegedInstance, want_witness: bool = False,
         return "yes", dec.method, witness
     if dec.answer == "no":
         return "no", dec.method, None
+    from .oracle import ConfigurationSpace, shortest_flip_sequence
     space = ConfigurationSpace(vinst.graph, privileged=vinst.privileged,
                                capacity=capacity)
     seq = shortest_flip_sequence(space, vinst.from_labels, vinst.to_labels)
@@ -309,49 +310,48 @@ def resolve_solvable(inst: PrivilegedInstance, want_witness: bool = False,
     return "yes", "oracle", seq if want_witness else None
 
 
-def privileged_transform(inst: PrivilegedInstance,
-                         capacity: int = CAPACITY_LIMIT) -> list[tuple[int, int]]:
+def privileged_transform(inst: PrivilegedInstance) -> list[tuple[int, int]]:
     """A restricted flip sequence from the instance's source to its target.
 
-    Handles at most two non-privileged labels.  With at most one, every
-    flip is legal and the spanning tree transformation applies.  With two:
-    cycles rotate the non-privileged labels home and then sort the rest
-    through a gate next to one of them; other non-paths compose
-    tree_swap_sequence transpositions on a non-path spanning tree.  Paths
-    are outside the constructive theory and fall back to the restricted
-    BFS oracle.  Edge instances are solved on the line graph, where the
-    flips are edge flips.  Raises UnsolvableError when no sequence exists.
-    Length is not minimized.
+    With at most one non-privileged label every flip is legal and the
+    spanning tree transformation applies.  On a path, with any number,
+    path_flip_sequence along the path is legal and optimal: each flip
+    removes one inversion, and no two non-privileged labels are inverted.
+    With two elsewhere, cycles rotate the non-privileged labels home and
+    sort the rest through a gate next to one of them, and other graphs
+    compose tree_swap_sequence transpositions on a non-path spanning tree;
+    neither minimizes length.  Three or more off a path raise ValueError.
+    Edge instances are solved on the line graph, where the flips are edge
+    flips.  Raises UnsolvableError when no sequence exists.
 
-    With two non-privileged labels on trees this takes O(n + flips) time
-    after building the spanning tree, plus an O(n) search each time the
-    two non-privileged labels trade places.  On cycles it takes
-    O(n + flips), with each run of flips that carries one label along
-    the cycle emitted as one slice of the cycle's own edge tuples.
-    Every flip is the spanning tree's or cycle's own edge tuple, shared
-    by every flip across that edge.
+    Paths take O(n log n + flips) time.  With two non-privileged labels,
+    trees take O(n + flips) after building the spanning tree, plus an O(n)
+    search each time the two trade places, and cycles O(n + flips), each
+    run of flips that carries one label being one slice of the cycle's
+    edge tuples.  Every flip is its graph's, spanning tree's or cycle's
+    own edge tuple, shared by every flip across that edge.
     """
     if inst.kind == "edge":
         inst = _line_graph_instance(inst)
     g = inst.graph
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
-    nonpriv = inst.nonprivileged()
-    if len(nonpriv) > 2:
-        raise ValueError("at most two non-privileged labels supported")
+    # solvable raises ValueError on a disconnected graph
+    if solvable(inst).answer == "no":
+        raise UnsolvableError("certified by the order/orientation invariant")
     frm, to = inst.from_labels, inst.to_labels
     if frm == to:
         return []
-    if solvable(inst).answer == "no":
-        raise UnsolvableError("certified by the order/orientation invariant")
+    nonpriv = inst.nonprivileged()
     if len(nonpriv) <= 1:
+        from .transform import spanning_tree_transform
         return spanning_tree_transform(g, frm, to)
     if is_path(g):
-        space = ConfigurationSpace(g, privileged=inst.privileged, capacity=capacity)
-        seq = shortest_flip_sequence(space, frm, to)
-        if seq is None:
-            raise UnsolvableError("restricted BFS exhausted the component")
-        return seq
+        from .exact_path import path_flip_sequence
+        order = path_vertex_order(g)
+        edge = [g.edges[g.edge_index(u, v)] for u, v in zip(order, order[1:])]
+        flips = path_flip_sequence([frm[v] for v in order], [to[v] for v in order])
+        return [edge[k] for k, _ in flips]
+    if len(nonpriv) > 2:
+        raise ValueError("at most two non-privileged labels supported off a path")
     if is_cycle(g):
         return _cycle_transform(g, frm, to, inst.privileged)
     # a non-path spanning tree by construction, and cur always holds the

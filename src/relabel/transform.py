@@ -33,7 +33,7 @@ from .graph import (
     spanning_tree,
 )
 from .labeling import validate_vertex_labeling
-from .oracle import CAPACITY_LIMIT, CapacityError, ConfigurationSpace, bfs_distance
+from .oracle import CapacityError, ConfigurationSpace, bfs_distance
 from .perm import inverse
 
 METHODS = ("auto", "path", "star", "bfs", "tree-bound")
@@ -100,7 +100,7 @@ class Distance(NamedTuple):
 
 
 def distance(g: Graph, labels: Sequence[int], target: Sequence[int],
-             method: str = "auto", capacity: int = CAPACITY_LIMIT) -> Distance:
+             method: str = "auto", capacity: int | None = None) -> Distance:
     """Flip distance between two vertex labelings of g, by one of METHODS.
 
     "auto" takes the first that applies: the path closed form on a path

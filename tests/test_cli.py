@@ -193,6 +193,10 @@ EXECUTED = {
         {"graph", "jsonio", "reductions", "labeling", "perm"},
     ("oracle", "--graph", "p4.json", "--diameter"):
         {"graph", "jsonio", "oracle", "labeling", "perm"},
+    ("puzzle", "--side", "2", "--b1", "[0,1,2,3]", "--b2", "[0,2,1,3]", "--k", "4"):
+        {"graph", "jsonio", "privileged", "labeling", "perm"},
+    ("solvable", "--instance", "k13.json"):
+        {"graph", "jsonio", "privileged", "labeling", "perm"},
 }
 CHILD = """
 import contextlib, io, json, sys, types
@@ -215,6 +219,10 @@ def test_requests_execute_only_the_modules_they_run(tmp_path, argv):
     write(tmp_path, "inst.json", {"kind": "vertex", "graph": graph_to_json(make_family("path", 3)),
                                   "from": {"labels": [2, 1, 0]}, "to": {"labels": [0, 1, 2]},
                                   "t": 3})
+    # two non-privileged labels on K_{1,3}: solved by tree swaps, no search
+    write(tmp_path, "k13.json", {"kind": "vertex", "graph": graph_to_json(make_family("star", 4)),
+                                 "from": {"labels": [0, 1, 2, 3]}, "to": {"labels": [3, 2, 1, 0]},
+                                 "privileged": [0, 1], "t": None})
     src = str(Path(relabel.__file__).parents[1])  # the package this suite imports
     child = CHILD.format(src=src, argv=list(argv))
     out = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, capture_output=True,

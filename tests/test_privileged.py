@@ -5,16 +5,19 @@ from collections import Counter, deque
 
 import pytest
 
+from relabel.exact_path import path_distance
 from relabel.graph import (
     Graph,
     cycle_vertex_order,
     is_path,
     line_graph,
     make_family,
+    path_vertex_order,
     spanning_tree_not_path,
     tree_path,
 )
 from relabel.labeling import (
+    apply_edge_flip,
     apply_edge_sequence,
     apply_vertex_flip,
     apply_vertex_sequence,
@@ -251,23 +254,28 @@ def test_solvable_rules():
     assert solvable(example_a_instance()) == ("no", "invariant")
     k3 = make_family("complete", 3)
     small = PrivilegedInstance(k3, "vertex", (0, 1, 2), (1, 0, 2), frozenset({2}))
-    assert solvable(small).answer == "unknown_use_oracle"
+    assert solvable(small) == ("yes", "theorem")
     p4 = make_family("path", 4)
     ok_path = PrivilegedInstance(p4, "vertex", (0, 1, 2, 3), (1, 0, 2, 3),
                                  frozenset({0, 1}))
     assert path_order_invariant(ok_path)
-    assert solvable(ok_path).answer == "unknown_use_oracle"
+    assert solvable(ok_path) == ("yes", "theorem")
     with pytest.raises(ValueError):
         solvable(PrivilegedInstance(Graph(4, [(0, 1), (2, 3)]), "vertex",
                                     (0, 1, 2, 3), (0, 1, 2, 3), frozenset({0})))
 
 
 def test_resolve_solvable_oracle_method():
-    k3 = make_family("complete", 3)
-    inst = PrivilegedInstance(k3, "vertex", (0, 1, 2), (1, 0, 2), frozenset({2}))
+    # three non-privileged labels on K_4 are left to the oracle, whose
+    # witness is a shortest one
+    k4 = make_family("complete", 4)
+    inst = PrivilegedInstance(k4, "vertex", (0, 1, 2, 3), (2, 0, 1, 3), frozenset({3}))
+    assert solvable(inst) == ("unknown_use_oracle", None)
     answer, method, witness = resolve_solvable(inst, want_witness=True)
-    assert answer == "yes" and method == "oracle"
+    assert (answer, method) == ("yes", "oracle")
     assert replay(inst, witness) == inst.to_labels
+    space = ConfigurationSpace(k4, privileged={3})
+    assert len(witness) == distance_map(space, inst.from_labels)[inst.to_labels] == 4
 
 
 def test_edge_privileged_solvable():
@@ -292,17 +300,144 @@ def test_edge_privileged_solvable():
 
 
 def test_privileged_transform_edge_instances():
-    # the line graphs are K_4 (theorem), C_5 (cycle moves) and P_4 (oracle)
-    cases = [(make_family("star", 5), (3, 2, 1, 0), (0, 1, 2, 3), {2, 3}, "theorem"),
-             (make_family("cycle", 5), (4, 0, 3, 1, 2), (0, 1, 2, 3, 4), {2, 3, 4}, "theorem"),
-             (make_family("path", 5), (0, 2, 1, 3), (2, 1, 0, 3), {1, 2}, "oracle")]
-    for g, frm, to, priv, method in cases:
+    # the line graphs are K_4 (tree swaps), C_5 (cycle moves) and P_4 (path
+    # closed form)
+    cases = [(make_family("star", 5), (3, 2, 1, 0), (0, 1, 2, 3), {2, 3}),
+             (make_family("cycle", 5), (4, 0, 3, 1, 2), (0, 1, 2, 3, 4), {2, 3, 4}),
+             (make_family("path", 5), (0, 2, 1, 3), (2, 1, 0, 3), {1, 2})]
+    for g, frm, to, priv in cases:
         inst = PrivilegedInstance(g, "edge", frm, to, frozenset(priv))
         flips = privileged_transform(inst)
         lg = PrivilegedInstance(line_graph(g), "vertex", frm, to, frozenset(priv))
         assert flips and replay(lg, flips) == to
         assert apply_edge_sequence(g, frm, flips) == to
-        assert resolve_solvable(inst, want_witness=True) == ("yes", method, flips)
+        assert resolve_solvable(inst, want_witness=True) == ("yes", "theorem", flips)
+
+
+def shuffled_path(rng, n):
+    # the path visits name[0], name[1], ..., so its numbering is not canonical
+    name = rng.sample(range(n), n)
+    return Graph(n, [(name[i], name[i + 1]) for i in range(n - 1)])
+
+
+def test_path_theorem_matches_restricted_bfs():
+    # every privileged set, three sources each, and every target up to five
+    # positions (at six, 24 reachable and 24 arbitrary ones): the theorem
+    # answers exactly the pairs the restricted BFS reaches, and its witness
+    # replays legally in exactly the BFS distance
+    rng = random.Random(21)
+    answers = Counter()
+    for kind, sizes in (("vertex", range(2, 7)), ("edge", range(3, 7))):
+        apply = apply_vertex_flip if kind == "vertex" else apply_edge_flip
+        for n in sizes:
+            g = shuffled_path(rng, n)
+            count = n if kind == "vertex" else n - 1
+            every = list(itertools.permutations(range(count)))
+            for r in range(1, count + 1):
+                for S in map(frozenset, itertools.combinations(range(count), r)):
+                    space = ConfigurationSpace(g, mode=kind, privileged=S)
+                    for _ in range(3):
+                        frm = tuple(rng.sample(range(count), count))
+                        dist = distance_map(space, frm)
+                        targets = every if count < 6 else (
+                            rng.sample(sorted(dist), min(24, len(dist))) + rng.sample(every, 24))
+                        for to in targets:
+                            inst = PrivilegedInstance(g, kind, frm, to, S)
+                            answer, method, witness = resolve_solvable(inst, want_witness=True)
+                            answers[answer] += 1
+                            if to not in dist:
+                                assert (answer, method, witness) == ("no", "invariant", None)
+                                continue
+                            assert (answer, method) == ("yes", "theorem")
+                            assert len(witness) == dist[to]
+                            cur = frm
+                            for f in witness:
+                                assert is_valid_restricted_flip(inst, cur, f)
+                                cur = apply(g, cur, f)
+                            assert cur == to
+    assert answers["yes"] > 10_000 and answers["no"] > 10_000, answers
+
+
+def test_path_theorem_past_oracle_capacity():
+    # 12 positions: 12! states, beyond what the restricted BFS will search
+    g = make_family("path", 12)
+    frm, to = identity_labeling(12), (0, 2, 1) + tuple(range(3, 12))
+    inst = PrivilegedInstance(g, "vertex", frm, to, frozenset(range(2, 12)))
+    answer, method, witness = resolve_solvable(inst, want_witness=True)
+    assert (answer, method) == ("yes", "theorem")
+    assert replay(inst, witness) == to
+    assert len(witness) == path_distance(frm, to) == 1
+
+
+def test_long_path_witness():
+    rng = random.Random(23)
+    n = 2000
+    g = shuffled_path(rng, n)
+    frm = tuple(rng.sample(range(n), n))
+    a_lab, b_lab = rng.sample(range(n), 2)
+    # any target keeping a and b in their left-to-right order
+    order = path_vertex_order(g)
+    rest = [x for x in rng.sample(range(n), n) if x not in (a_lab, b_lab)]
+    first, second = sorted((frm.index(a_lab), frm.index(b_lab)), key=order.index)
+    i, j = sorted(rng.sample(range(n), 2))
+    rest[i:i] = [frm[first]]
+    rest[j:j] = [frm[second]]
+    to = [0] * n
+    for v, lab in zip(order, rest):
+        to[v] = lab
+    inst = PrivilegedInstance(g, "vertex", frm, tuple(to), frozenset(range(n)) - {a_lab, b_lab})
+    assert solvable(inst) == ("yes", "theorem")
+    flips = privileged_transform(inst)
+    assert len(flips) == path_distance([frm[v] for v in order], [to[v] for v in order])
+    cur = list(frm)
+    for a, b in flips:
+        assert g.has_edge(a, b) and (cur[a] not in (a_lab, b_lab) or cur[b] not in (a_lab, b_lab))
+        cur[a], cur[b] = cur[b], cur[a]
+    assert cur == to
+
+
+def all_rotations_orientation(inst):
+    # the orientation invariant as every rotation of the source sequence
+    order = cycle_vertex_order(inst.graph)
+    seq_from = [inst.from_labels[v] for v in order if inst.from_labels[v] not in inst.privileged]
+    seq_to = [inst.to_labels[v] for v in order if inst.to_labels[v] not in inst.privileged]
+    return any(seq_from[i:] + seq_from[:i] == seq_to for i in range(len(seq_from)))
+
+
+def test_cycle_orientation_invariant_matches_all_rotations():
+    rng = random.Random(29)
+    seen = set()
+    for n in range(3, 9):
+        g = make_family("cycle", n)
+        for _ in range(200):
+            frm = tuple(rng.sample(range(n), n))
+            S = frozenset(rng.sample(range(n), rng.randint(1, n - 3)) if n > 3 else [])
+            if not S:
+                continue
+            to = list(frm) if rng.random() < 0.5 else rng.sample(range(n), n)
+            if to == list(frm):
+                # rotate the non-privileged labels among their own slots
+                slots = [v for v in range(n) if frm[v] not in S]
+                labs = [frm[v] for v in slots]
+                k = rng.randrange(len(labs))
+                for v, lab in zip(slots, labs[k:] + labs[:k]):
+                    to[v] = lab
+            inst = PrivilegedInstance(g, "vertex", frm, tuple(to), S)
+            want = all_rotations_orientation(inst)
+            assert cycle_orientation_invariant(inst) == want
+            seen.add(want)
+    assert seen == {True, False}
+    # one privileged label and the rest reversed: answered in linear time
+    n = 50_000
+    g = make_family("cycle", n)
+    frm = tuple(range(n))
+    to = (0,) + frm[:0:-1]
+    inst = PrivilegedInstance(g, "vertex", frm, to, frozenset({0}))
+    start = time.perf_counter()
+    assert solvable(inst) == ("no", "invariant")
+    elapsed = time.perf_counter() - start
+    # comparing every rotation took about 20 s on a 2-core Xeon VM
+    assert elapsed < 2, f"{elapsed:.2f} s"
 
 
 def test_puzzle_instance():
