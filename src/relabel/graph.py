@@ -242,17 +242,20 @@ def prufer_elimination_order(t: Graph) -> tuple[int, ...]:
 
 
 def line_graph(g: Graph) -> Graph:
-    """Graph whose vertex i is g.edges[i]; edges join edges sharing an endpoint."""
+    """Graph whose vertex i is g.edges[i]; edges join edges sharing an endpoint.
+
+    Edges come in sorted order.  Row i is every edge at either end of
+    g.edges[i] but itself, and edge (i, j) is read off row i where
+    j > i, so rows and edges are valid as built and are not re-checked.
+    """
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for idx, (u, v) in enumerate(g.edges):
         incident[u].append(idx)
         incident[v].append(idx)
-    pairs = set()
-    for ids in incident:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                pairs.add((min(ids[a], ids[b]), max(ids[a], ids[b])))
-    return Graph(g.m, sorted(pairs))
+    rows = tuple(tuple(sorted({*incident[u], *incident[v]} - {i}))
+                 for i, (u, v) in enumerate(g.edges))
+    edges = tuple((i, j) for i, row in enumerate(rows) for j in row if j > i)
+    return _assemble(g.m, edges, rows)
 
 
 def spanning_tree_not_path(g: Graph) -> Graph:

@@ -37,6 +37,16 @@ def validate_edge_labeling(g: Graph, labels: Sequence[int]) -> tuple[int, ...]:
     return t
 
 
+def _unchecked(record_type: type, **fields: object):
+    """A frozen dataclass record built from fields its caller has
+    already validated: each field is set as given and __post_init__,
+    which would validate them again, is not run."""
+    record = object.__new__(record_type)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
 def _vertex_flip(g: Graph, flip: Sequence[int]) -> tuple[int, int]:
     u, v = flip
     if not g.has_edge(u, v):

@@ -30,6 +30,7 @@ from .graph import (
     spanning_tree_not_path,
 )
 from .labeling import (
+    _unchecked,
     edges_share_endpoint,
     validate_edge_labeling,
     validate_vertex_labeling,
@@ -96,7 +97,11 @@ def path_order_invariant(inst: PrivilegedInstance) -> bool:
     that the instance is unsolvable."""
     if inst.kind != "vertex" or not is_path(inst.graph):
         raise ValueError("path_order_invariant needs a vertex instance on a path")
-    order = path_vertex_order(inst.graph)
+    return _path_order_holds(inst, path_vertex_order(inst.graph))
+
+
+def _path_order_holds(inst: PrivilegedInstance, order: Sequence[int]) -> bool:
+    # path_order_invariant along the path's vertex order
     seq_from = [inst.from_labels[v] for v in order
                 if inst.from_labels[v] not in inst.privileged]
     seq_to = [inst.to_labels[v] for v in order
@@ -262,26 +267,37 @@ def solvable(inst: PrivilegedInstance) -> Solvability:
     """
     if inst.kind == "edge":
         inst = _line_graph_instance(inst)
+    return _decide(inst)[0]
+
+
+def _decide(inst: PrivilegedInstance) -> tuple[Solvability, list[int] | None]:
+    # solvable on a vertex instance, with the path's vertex order when it
+    # was read, so that the transform reads the graph's shape no second time
     g = inst.graph
     if not is_connected(g):
         raise ValueError("graph is not connected")
     k = len(inst.nonprivileged())
     if k <= 1 or inst.from_labels == inst.to_labels:
-        return Solvability("yes", "theorem")
+        return Solvability("yes", "theorem"), None
     if is_path(g):
-        if not path_order_invariant(inst):
-            return Solvability("no", "invariant")
-        return Solvability("yes", "theorem")
+        order = path_vertex_order(g)
+        if not _path_order_holds(inst, order):
+            return Solvability("no", "invariant"), order
+        return Solvability("yes", "theorem"), order
     if k == 2:
-        return Solvability("yes", "theorem")
+        return Solvability("yes", "theorem"), None
     if is_cycle(g) and not cycle_orientation_invariant(inst):
-        return Solvability("no", "invariant")
-    return Solvability("unknown_use_oracle", None)
+        return Solvability("no", "invariant"), None
+    return Solvability("unknown_use_oracle", None), None
 
 
 def _line_graph_instance(inst: PrivilegedInstance) -> PrivilegedInstance:
-    return PrivilegedInstance(line_graph(inst.graph), "vertex", inst.from_labels,
-                              inst.to_labels, inst.privileged, inst.t)
+    # the edge instance as a vertex instance on the line graph, whose
+    # vertex i is edge i: the checked labelings and privileged set carry
+    # over, counted against the same m, and are not checked again
+    return _unchecked(PrivilegedInstance, graph=line_graph(inst.graph), kind="vertex",
+                      from_labels=inst.from_labels, to_labels=inst.to_labels,
+                      privileged=inst.privileged, t=inst.t)
 
 
 def resolve_solvable(inst: PrivilegedInstance, want_witness: bool = False,
@@ -295,9 +311,9 @@ def resolve_solvable(inst: PrivilegedInstance, want_witness: bool = False,
     whose witness is a shortest one.
     """
     vinst = inst if inst.kind == "vertex" else _line_graph_instance(inst)
-    dec = solvable(vinst)
+    dec, order = _decide(vinst)
     if dec.answer == "yes":
-        witness = privileged_transform(vinst) if want_witness else None
+        witness = _transform(vinst, order) if want_witness else None
         return "yes", dec.method, witness
     if dec.answer == "no":
         return "no", dec.method, None
@@ -333,10 +349,18 @@ def privileged_transform(inst: PrivilegedInstance) -> list[tuple[int, int]]:
     """
     if inst.kind == "edge":
         inst = _line_graph_instance(inst)
-    g = inst.graph
-    # solvable raises ValueError on a disconnected graph
-    if solvable(inst).answer == "no":
+    # _decide raises ValueError on a disconnected graph
+    dec, order = _decide(inst)
+    if dec.answer == "no":
         raise UnsolvableError("certified by the order/orientation invariant")
+    return _transform(inst, order)
+
+
+def _transform(inst: PrivilegedInstance, order: list[int] | None
+               ) -> list[tuple[int, int]]:
+    # privileged_transform on a vertex instance _decide did not answer no,
+    # with the path order it read, or None where it read none
+    g = inst.graph
     frm, to = inst.from_labels, inst.to_labels
     if frm == to:
         return []
@@ -344,9 +368,8 @@ def privileged_transform(inst: PrivilegedInstance) -> list[tuple[int, int]]:
     if len(nonpriv) <= 1:
         from .transform import spanning_tree_transform
         return spanning_tree_transform(g, frm, to)
-    if is_path(g):
+    if order is not None:
         from .exact_path import path_flip_sequence
-        order = path_vertex_order(g)
         edge = [g.edges[g.edge_index(u, v)] for u, v in zip(order, order[1:])]
         flips = path_flip_sequence([frm[v] for v in order], [to[v] for v in order])
         return [edge[k] for k, _ in flips]

@@ -7,6 +7,9 @@ This map keeps every yes-instance yes but is not an equivalence: some
 no-instances become yes-instances (see ``vertex_to_edge``).
 Edge to vertex: relabel the line graph, bound unchanged.  This map is an
 equivalence, flip for flip.
+Both maps build their result from the instance's checked graph and
+labelings, so neither re-checks them: the public constructors check
+every instance a caller builds, once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from .graph import Graph, _assemble, line_graph
-from .labeling import validate_edge_labeling, validate_vertex_labeling
+from .labeling import _unchecked, validate_edge_labeling, validate_vertex_labeling
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ def vertex_to_edge(inst: VertexInstance) -> EdgeInstance:
     """Edge instance on ``pendant_graph(g)`` with flip bound 3t.
 
     O(n + m): the pendant graph is built from the instance's checked
-    graph without re-checking it, and the fixed labels are appended as
-    one tuple.
+    graph, the fixed labels are appended to its checked labelings as one
+    tuple, and neither graph nor labelings are checked again.
 
     With d_V the vertex flip distance of ``inst`` and d_E the edge flip
     distance of the result, the map guarantees:
@@ -83,14 +86,19 @@ def vertex_to_edge(inst: VertexInstance) -> EdgeInstance:
     """
     g = inst.graph
     fixed = tuple(range(g.n, g.n + g.m))
-    return EdgeInstance(pendant_graph(g), inst.from_labels + fixed,
-                        inst.to_labels + fixed, 3 * inst.t)
+    return _unchecked(EdgeInstance, graph=pendant_graph(g),
+                      from_labels=inst.from_labels + fixed,
+                      to_labels=inst.to_labels + fixed, t=3 * inst.t)
 
 
 def edge_to_vertex(inst: EdgeInstance) -> VertexInstance:
-    """Equivalent vertex instance on the line graph, same bound."""
-    return VertexInstance(line_graph(inst.graph), inst.from_labels,
-                          inst.to_labels, inst.t)
+    """Equivalent vertex instance on the line graph, same bound.
+
+    The labelings are not checked again: an edge labeling of g is a
+    vertex labeling of line_graph(g), whose vertex i is g's edge i.
+    """
+    return _unchecked(VertexInstance, graph=line_graph(inst.graph),
+                      from_labels=inst.from_labels, to_labels=inst.to_labels, t=inst.t)
 
 
 def compile_vertex_flips_to_edge_flips(g: Graph, flips: Sequence[Sequence[int]]

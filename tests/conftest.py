@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 import relabel.graph
+import relabel.labeling
 from relabel.labeling import apply_edge_flip, edges_share_endpoint
 
 
@@ -24,6 +25,25 @@ def connectivity_searches(monkeypatch):
 
     monkeypatch.setattr(relabel.graph, "_bfs", recording_bfs)
     return searched
+
+
+@pytest.fixture
+def permutation_checks(monkeypatch):
+    """The length of each labeling a labeling validator checked.
+
+    Wraps the is_permutation that validate_vertex_labeling and
+    validate_edge_labeling call, so every check of a record's labelings
+    appends one entry.
+    """
+    checked = []
+    check = relabel.labeling.is_permutation
+
+    def counting(p):
+        checked.append(len(p))
+        return check(p)
+
+    monkeypatch.setattr(relabel.labeling, "is_permutation", counting)
+    return checked
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -5,6 +6,8 @@ from collections import Counter, deque
 
 import pytest
 
+import relabel.graph
+import relabel.privileged
 from relabel.exact_path import path_distance
 from relabel.graph import (
     Graph,
@@ -32,6 +35,7 @@ from relabel.privileged import (
     path_order_invariant,
     privileged_transform,
     puzzle_instance,
+    _line_graph_instance,
     resolve_solvable,
     solvable,
     sw_swap,
@@ -822,3 +826,66 @@ def test_transform_checks_connectivity_once(connectivity_searches):
         assert privileged_transform(inst) == want
         assert len(connectivity_searches) == 1
         replay(inst, want)
+
+
+def test_line_graph_instance_is_not_rechecked(permutation_checks):
+    # the edge instance's checked labelings and privileged set carry over
+    # to the line graph unchecked, as the record the constructor builds
+    rng = random.Random(41)
+    graphs = [make_family("path", 3), make_family("star", 4)]
+    graphs += [make_family("random_connected", rng.randint(3, 12), seed=s)
+               for s in range(10)]
+    for g in graphs:
+        frm = tuple(rng.sample(range(g.m), g.m))
+        to = tuple(rng.sample(range(g.m), g.m))
+        priv = frozenset(rng.sample(range(g.m), rng.randint(1, g.m)))
+        inst = PrivilegedInstance(g, "edge", frm, to, priv, 3)
+        assert permutation_checks == [g.m, g.m]
+        permutation_checks.clear()
+        trusted = _line_graph_instance(inst)
+        assert permutation_checks == []
+        checked = PrivilegedInstance(line_graph(g), "vertex", list(frm), list(to), set(priv), 3)
+        assert permutation_checks == [g.m, g.m]
+        permutation_checks.clear()
+        assert trusted == checked and hash(trusted) == hash(checked)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trusted.t = 0
+
+
+def test_privileged_instance_checks_what_it_is_given(permutation_checks):
+    g = make_family("path", 3)
+    for kind, count in (("vertex", g.n), ("edge", g.m)):
+        ident = tuple(range(count))
+        permutation_checks.clear()
+        PrivilegedInstance(g, kind, ident, ident, frozenset({0}), 1)
+        assert permutation_checks == [count, count]
+        for bad in (ident[:-1], (0.0,) + ident[1:], (0, True) + ident[2:]):
+            with pytest.raises(ValueError):
+                PrivilegedInstance(g, kind, bad, ident, frozenset({0}))
+            with pytest.raises(ValueError):
+                PrivilegedInstance(g, kind, ident, bad, frozenset({0}))
+        for priv, t in ((frozenset(), None), (frozenset({count}), None), (frozenset({0}), -1)):
+            with pytest.raises(ValueError):
+                PrivilegedInstance(g, kind, ident, ident, priv, t)
+
+
+def test_path_shape_read_once_per_call(monkeypatch):
+    # a witness on a path decides solvable and builds the flips from one
+    # reading of the path's order; the flips are the parent's
+    reads = []
+    for module, name in ((relabel.privileged, "is_path"), (relabel.graph, "is_path"),
+                         (relabel.privileged, "path_vertex_order")):
+        def counting(g, _f=getattr(module, name), _name=name):
+            reads.append(_name)
+            return _f(g)
+        monkeypatch.setattr(module, name, counting)
+    n = 2000
+    g = make_family("path", n)
+    frm = identity_labeling(n)
+    to = (1, 0) + frm[2:]
+    inst = PrivilegedInstance(g, "vertex", frm, to, frozenset(frm) - {5, 9})
+    assert resolve_solvable(inst, want_witness=True) == ("yes", "theorem", [(0, 1)])
+    assert reads.count("path_vertex_order") == 1 and reads.count("is_path") <= 2
+    reads.clear()
+    assert privileged_transform(inst) == [(0, 1)]
+    assert reads.count("path_vertex_order") == 1 and reads.count("is_path") <= 2

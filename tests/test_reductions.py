@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -104,21 +105,86 @@ def test_gadget_compiler_matches_reference():
         assert str(got.value) == str(want.value)
 
 
+def assert_answers_like(got, want):
+    # an assembled graph against the checked Graph of the same edges
+    assert got == want and hash(got) == hash(want)
+    assert got.n == want.n and got.edges == want.edges
+    assert got.adjacency == want.adjacency
+    for u in range(want.n):
+        for v in range(want.n):
+            assert got.has_edge(u, v) == want.has_edge(u, v)
+    for u, v in want.edges:
+        assert got.edge_index(u, v) == got.edge_index(v, u) == want.edge_index(u, v)
+    assert getattr(got, "nope", None) is None and not hasattr(got, "nope")
+
+
 def test_pendant_graph_matches_checked_graph():
     rng = random.Random(31)
     graphs = [Graph(0, []), Graph(1, []), make_family("star", 5),
               Graph(6, [(3, 4), (0, 5), (1, 2)])]  # disconnected
+    graphs += [make_family(family, 4, seed=0) for family in
+               ("path", "star", "cycle", "grid", "complete", "random_connected")]
     graphs += [make_family("random_connected", rng.randint(2, 40), seed=s)
                for s in range(20)]
     for g in graphs:
         n = g.n
         got = pendant_graph(g)
         want = Graph(2 * n, [(i, n + i) for i in range(n)] + list(g.edges))
-        assert got == want and got.edges == want.edges
-        assert got.adjacency == want.adjacency
-        for u, v in want.edges:
-            assert got.edge_index(u, v) == got.edge_index(v, u) == want.edge_index(u, v)
+        assert_answers_like(got, want)
         assert is_connected(got) == is_connected(want) == is_connected(Graph(n, g.edges))
+        lg = line_graph(g)
+        assert_answers_like(lg, Graph(g.m, lg.edges))
+        assert is_connected(lg) == is_connected(Graph(g.m, lg.edges))
+        # its edges are every pair of g's edges that share an endpoint
+        assert lg.edges == tuple((i, j) for i in range(g.m) for j in range(i + 1, g.m)
+                                 if set(g.edges[i]) & set(g.edges[j]))
+
+
+def test_reductions_do_not_recheck(permutation_checks):
+    # the maps build from checked parts and check nothing again; the
+    # records they build equal, and hash like, the checked ones
+    rng = random.Random(37)
+    graphs = [make_family("path", 3), make_family("star", 4)]
+    graphs += [make_family("random_connected", rng.randint(2, 12), seed=s)
+               for s in range(10)]
+    for g in graphs:
+        frm = tuple(rng.sample(range(g.n), g.n))
+        to = tuple(rng.sample(range(g.n), g.n))
+        inst = VertexInstance(g, frm, to, 2)
+        assert permutation_checks == [g.n, g.n]
+        permutation_checks.clear()
+        einst = vertex_to_edge(inst)
+        vinst = edge_to_vertex(einst)
+        assert permutation_checks == []
+        fixed = list(range(g.n, g.n + g.m))
+        pendant = Graph(2 * g.n, [(i, g.n + i) for i in range(g.n)] + list(g.edges))
+        checked_e = EdgeInstance(pendant, list(frm) + fixed, list(to) + fixed, 6)
+        checked_v = VertexInstance(Graph(pendant.m, line_graph(pendant).edges),
+                                   list(frm) + fixed, list(to) + fixed, 6)
+        assert permutation_checks == [pendant.m] * 4
+        for trusted, checked in ((einst, checked_e), (vinst, checked_v)):
+            assert type(trusted) is type(checked)
+            assert trusted == checked and hash(trusted) == hash(checked)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                trusted.t = 0
+        permutation_checks.clear()
+
+
+def test_public_constructors_check_every_instance(permutation_checks):
+    g = make_family("path", 3)
+    for make in (VertexInstance, EdgeInstance):
+        count = g.n if make is VertexInstance else g.m
+        ident = tuple(range(count))
+        permutation_checks.clear()
+        make(g, ident, ident, 1)
+        assert permutation_checks == [count, count]
+        for bad in (ident[:-1], (0.0,) + ident[1:], (0, True) + ident[2:]):
+            with pytest.raises(ValueError):
+                make(g, bad, ident, 1)
+            with pytest.raises(ValueError):
+                make(g, ident, bad, 1)
+        with pytest.raises(ValueError):
+            make(g, ident, ident, -1)
 
 
 def test_edge_to_vertex_examples():
