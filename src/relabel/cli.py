@@ -81,10 +81,10 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_distance(args: argparse.Namespace) -> tuple[Any, int]:
-    from .transform import distance
     g = _load_graph(args.graph)
     frm = _load_vertex_labels(args.source)
     to = _load_vertex_labels(args.target)
+    from .transform import distance
     return distance(g, frm, to, args.method, _capacity(args))._asdict(), 0
 
 

@@ -5,6 +5,12 @@ align with ``Graph.edges`` by index.  All tie-breaking is by lowest vertex
 or edge index so every construction is reproducible.  Every traversal
 here is the one breadth-first search ``_bfs``, except ``tree_path``, kept
 as the independent reference the tests compare against.
+
+``Graph(n, edges)`` is the one checked entry point, for edges a caller
+supplies.  The family members, both spanning trees, the line graph and
+``reductions.pendant_graph`` are built valid and go through
+``_assemble``, which skips the re-check and leaves the edge index behind
+``has_edge`` and ``edge_index`` to be built on the first lookup.
 """
 
 from __future__ import annotations
@@ -20,7 +26,13 @@ FAMILY_SIZE_LIMIT = 10 ** 7
 
 
 class Graph:
-    """Simple undirected graph: no loops, no duplicate edges."""
+    """Simple undirected graph: no loops, no duplicate edges.
+
+    Graph(n, edges) checks every edge a caller supplies, and keeps the
+    edge index its duplicate check builds.  A graph the library builds
+    valid is filled by ``_assemble`` instead, unchecked and unindexed,
+    and ``_index`` builds its index on the first lookup.
+    """
 
     __slots__ = ("n", "edges", "adjacency", "_edge_index", "_connected")
 
@@ -42,13 +54,19 @@ class Graph:
             normalized.append(key)
         self.n = n
         self.edges = tuple(normalized)
-        self._edge_index = index
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adjacency = tuple(tuple(sorted(nb)) for nb in adj)
+        self._edge_index: dict[tuple[int, int], int] | None = index
+        self.adjacency = _rows(n, self.edges)
         self._connected: bool | None = None  # is_connected's answer, once searched
+
+    def _index(self) -> dict[tuple[int, int], int]:
+        """Each normalized edge's position in the edge list, built on the
+        first call for a graph _assemble filled.  Lookups read the slot
+        and call this only while it is None, so a built index costs one
+        attribute read and one dict probe; has_edge, once per flip, reads
+        the slot in a try, which costs nothing until it raises."""
+        if self._edge_index is None:
+            self._edge_index = dict(zip(self.edges, range(len(self.edges))))
+        return self._edge_index
 
     @property
     def m(self) -> int:
@@ -58,12 +76,15 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_index
+        try:  # one expression, no local: this runs once per flip
+            return ((u, v) if u < v else (v, u)) in self._edge_index
+        except TypeError:  # the slot is None: no lookup has built the index yet
+            return ((u, v) if u < v else (v, u)) in self._index()
 
     def edge_index(self, u: int, v: int) -> int:
         """Index of edge {u, v} in the edge list."""
         try:
-            return self._edge_index[(u, v) if u < v else (v, u)]
+            return (self._edge_index or self._index())[(u, v) if u < v else (v, u)]
         except KeyError:
             raise ValueError(f"({u},{v}) is not an edge") from None
 
@@ -85,12 +106,26 @@ def _assemble(n: int, edges: tuple[tuple[int, int], ...],
               adjacency: tuple[tuple[int, ...], ...]) -> Graph:
     """A Graph filled from parts its caller has built valid: edges
     normalized (u < v) and distinct, and adjacency the sorted neighbour
-    rows of those edges.  Nothing is checked; Graph(n, edges) checks."""
+    rows of those edges.  Nothing is checked, Graph(n, edges) checks, and
+    the edge index is left unset until the first lookup builds it."""
     g = Graph.__new__(Graph)
     g.n, g.edges, g.adjacency = n, edges, adjacency
-    g._edge_index = dict(zip(edges, range(len(edges))))
-    g._connected = None
+    g._edge_index = g._connected = None
     return g
+
+
+def _rows(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbour rows of n vertices joined by edges."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(nb)) for nb in adj)
+
+
+def _built(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+    """_assemble's graph on normalized distinct edges, rows from _rows."""
+    return _assemble(n, edges, _rows(n, edges))
 
 
 def _bfs(g: Graph, root: int = 0, block: int = -1
@@ -136,7 +171,9 @@ def make_family(family: str, n: int, seed: int | None = None,
 
     path: 0-1-...-(n-1).  star: center 0.  cycle: 0-1-...-(n-1)-0.
     grid: n is the side length, vertices row-major.  complete: K_n.
-    random_connected: Erdos-Renyi, redrawn until connected.
+    random_connected: Erdos-Renyi, redrawn until connected; an
+    edge_probability outside (0, 1] raises ValueError before any draw.
+    Every member is built valid, and is assembled without a re-check.
     Raises ValueError, before building anything, for a member with more
     than FAMILY_SIZE_LIMIT vertices or edges; random_connected counts
     every candidate pair, since it draws one random number per pair.
@@ -152,13 +189,13 @@ def make_family(family: str, n: int, seed: int | None = None,
         raise ValueError(f"{family} of size {n} needs {vertices} vertices and up to "
                          f"{edges} edges; the limit is {FAMILY_SIZE_LIMIT} of each")
     if family == "path":
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
+        return _built(n, tuple(zip(range(n - 1), range(1, n))))
     if family == "star":
-        return Graph(n, [(0, i) for i in range(1, n)])
+        return _built(n, tuple((0, i) for i in range(1, n)))
     if family == "cycle":
         if n < 3:
             raise ValueError("cycle needs n >= 3")
-        return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+        return _built(n, tuple(zip(range(n - 1), range(1, n))) + ((0, n - 1),))
     if family == "grid":
         side = n
         edges = []
@@ -169,21 +206,18 @@ def make_family(family: str, n: int, seed: int | None = None,
                     edges.append((i, i + 1))
                 if r + 1 < side:
                     edges.append((i, i + side))
-        return Graph(side * side, edges)
+        return _built(side * side, tuple(edges))
     if family == "complete":
-        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return _built(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
     # random_connected
-    rng = random.Random(seed)
     if edge_probability is None:
         edge_probability = min(1.0, (math.log(n) + 1.5) / n) if n > 1 else 1.0
+    elif not 0 < edge_probability <= 1:  # NaN too: at p <= 0 no draw is ever connected
+        raise ValueError(f"edge_probability must be in (0, 1], got {edge_probability!r}")
+    rng = random.Random(seed)
     while True:
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < edge_probability
-        ]
-        g = Graph(n, edges)
+        g = _built(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                            if rng.random() < edge_probability))
         if is_connected(g):
             return g
 
@@ -193,7 +227,8 @@ def spanning_tree(g: Graph) -> Graph:
     if not is_connected(g):
         raise ValueError("graph is not connected")
     order, parent, _ = _bfs(g)
-    return Graph(g.n, [(parent[v], v) for v in order[1:]])
+    return _built(g.n, tuple((parent[v], v) if parent[v] < v else (v, parent[v])
+                             for v in order[1:]))
 
 
 def is_tree(g: Graph) -> bool:
@@ -286,7 +321,7 @@ def spanning_tree_not_path(g: Graph) -> Graph:
         if ra != rb:
             parent[ra] = rb
             chosen.append((a, b))
-    tree = Graph(g.n, chosen)
+    tree = _built(g.n, tuple(chosen))
     assert tree.m == g.n - 1 and tree.degree(u) >= 3
     return tree
 

@@ -53,7 +53,8 @@ def pendant_graph(g: Graph) -> Graph:
 
     Edge i < n is the pendant edge of vertex i; edge n+k is g.edges[k].
     O(n + m): the result is built from g's own checked edges and
-    neighbor rows, with no re-check.
+    neighbor rows, with no re-check, and indexes its edges only when
+    one is first looked up.
     """
     n = g.n
     edges = tuple(zip(range(n), range(n, 2 * n))) + g.edges
@@ -109,7 +110,7 @@ def compile_vertex_flips_to_edge_flips(g: Graph, flips: Sequence[Sequence[int]]
     edge {k, l}, that edge with pendant l, then that edge with pendant k
     again, which swaps the pendant labels and restores the edge label.
     """
-    n, index = g.n, g._edge_index
+    n, index = g.n, g._edge_index or g._index()
     out: list[tuple[int, int]] = []
     for k, l in flips:
         try:

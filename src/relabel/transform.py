@@ -14,14 +14,14 @@ graphs comes from the BFS oracle.
 ``distance`` is the only place that chooses how a distance query is
 answered: the path and star closed forms, the BFS oracle within its
 capacity, or the length of the constructive sequence as an upper bound.
+Each branch imports the module it runs, so a closed-form answer never
+loads the oracle.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .exact_path import path_distance
-from .exact_star import star_distance
 from .graph import (
     Graph,
     _Rooted,
@@ -33,7 +33,6 @@ from .graph import (
     spanning_tree,
 )
 from .labeling import validate_vertex_labeling
-from .oracle import CapacityError, ConfigurationSpace, bfs_distance
 from .perm import inverse
 
 METHODS = ("auto", "path", "star", "bfs", "tree-bound")
@@ -126,6 +125,7 @@ def distance(g: Graph, labels: Sequence[int], target: Sequence[int],
         raise ValueError(f"labelings of a graph on {g.n} vertices need {g.n} labels, "
                          f"got {len(labels)} and {len(target)}")
     if method in ("auto", "path") and is_path(g):
+        from .exact_path import path_distance
         order = path_vertex_order(g)
         d = path_distance([labels[v] for v in order], [target[v] for v in order])
         return Distance(d, True, "path")
@@ -135,12 +135,14 @@ def distance(g: Graph, labels: Sequence[int], target: Sequence[int],
     if g.n >= 2 and is_tree(g):
         center = next((v for v in range(g.n) if g.degree(v) == g.n - 1), None)
     if method in ("auto", "star") and center is not None:
+        from .exact_star import star_distance
         order = [center] + [v for v in range(g.n) if v != center]
         d = star_distance([labels[v] for v in order], [target[v] for v in order])
         return Distance(d, True, "star")
     if method == "star":
         raise ValueError("method star needs a star graph")
     if method in ("auto", "bfs"):
+        from .oracle import CapacityError, ConfigurationSpace, bfs_distance
         try:
             d = bfs_distance(ConfigurationSpace(g, capacity=capacity), labels, target)
         except CapacityError:

@@ -5,6 +5,7 @@ import pytest
 
 import relabel.graph
 import relabel.labeling
+from relabel.graph import Graph, is_connected
 from relabel.labeling import apply_edge_flip, edges_share_endpoint
 
 
@@ -69,3 +70,32 @@ def brute_edge_distances():
         return dist
 
     return distances
+
+
+@pytest.fixture
+def assert_like_checked():
+    """Asserts that a graph the library assembled answers as Graph(n, edges).
+
+    Compares equality, hash, edges, rows, connectivity, has_edge on every
+    ordered pair, and edge_index both ways, its ValueError text included.
+    """
+
+    def index_or_error(g, u, v):
+        try:
+            return g.edge_index(u, v)
+        except ValueError as err:
+            return str(err)
+
+    def compare(got):
+        want = Graph(got.n, got.edges)
+        assert got == want and hash(got) == hash(want)
+        assert got.n == want.n and got.edges == want.edges
+        assert got.adjacency == want.adjacency
+        assert is_connected(got) == is_connected(want)
+        pairs = [(u, v) for u in range(want.n) for v in range(want.n)]
+        assert [got.has_edge(u, v) for u, v in pairs] == [want.has_edge(u, v) for u, v in pairs]
+        assert [index_or_error(got, u, v) for u, v in pairs] == \
+            [index_or_error(want, u, v) for u, v in pairs]
+        assert getattr(got, "nope", None) is None and not hasattr(got, "nope")
+
+    return compare

@@ -1,7 +1,11 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relabel.graph
 from relabel.graph import (
     Graph,
     cycle_vertex_order,
@@ -17,6 +21,7 @@ from relabel.graph import (
     spanning_tree_not_path,
     tree_path,
 )
+from relabel.reductions import compile_vertex_flips_to_edge_flips, pendant_graph
 
 
 def random_tree(n, rng):
@@ -218,3 +223,72 @@ def test_is_connected_is_kept_on_each_graph(connectivity_searches):
     tree = spanning_tree(grid)
     assert is_tree(tree) and is_connected(grid)
     assert [id(x) for x in connectivity_searches] == [id(g), id(lg), id(grid), id(tree)]
+
+
+def assembled_graphs():
+    """Every graph the library builds without a re-check, from small members."""
+    graphs = [make_family(family, n) for family in ("path", "star", "complete")
+              for n in range(1, 9)]
+    graphs += [make_family("cycle", n) for n in range(3, 9)]
+    graphs += [make_family("grid", side) for side in range(1, 5)]
+    graphs += [make_family("random_connected", n, seed=seed, edge_probability=p)
+               for seed in range(20) for n, p in ((6, 0.3), (7, 0.6), (8, 1.0))]
+    graphs += [make_family("random_connected", n, seed=n) for n in range(1, 9)]
+    trees = [spanning_tree(g) for g in graphs]
+    trees += [spanning_tree_not_path(g) for g in graphs if not (is_path(g) or is_cycle(g))]
+    return graphs + trees
+
+
+def test_assembled_graphs_answer_like_checked_graphs(assert_like_checked):
+    graphs = assembled_graphs()
+    for g in graphs:
+        assert_like_checked(g)
+    for g in graphs[::3]:
+        assert_like_checked(line_graph(g))
+        assert_like_checked(pendant_graph(g))
+
+
+def test_edge_index_is_built_on_first_lookup():
+    lookups = (lambda g: [g.has_edge(u, v) for u in range(g.n) for v in range(g.n)],
+               lambda g: [g.edge_index(v, u) for u, v in g.edges],
+               lambda g: compile_vertex_flips_to_edge_flips(g, g.edges[::-1]))
+    for lookup in lookups:
+        g = make_family("random_connected", 8, seed=3)
+        derived = [spanning_tree(g), line_graph(g), pendant_graph(g)]
+        for built in [g] + derived:
+            assert built._edge_index is None
+        first = lookup(g)
+        assert g._edge_index == {e: i for i, e in enumerate(g.edges)}
+        assert lookup(g) == first == lookup(Graph(g.n, g.edges))
+        assert all(built._edge_index is None for built in derived)
+    # spanning_tree_not_path looks up g's edges, not its own tree's
+    assert spanning_tree_not_path(make_family("star", 5))._edge_index is None
+    # Graph(n, edges) keeps the index its duplicate check built
+    assert Graph(3, [(1, 0), (1, 2)])._edge_index == {(0, 1): 0, (1, 2): 1}
+
+
+REFUSED_PROBABILITIES = """
+import sys
+sys.path.insert(0, {src!r})
+from relabel.graph import make_family
+for p in (0, 0.0, -1, float("nan"), 1.5, float("inf"), -float("inf")):
+    for n in (1, 2, 5):
+        try:
+            make_family("random_connected", n, seed=0, edge_probability=p)
+        except ValueError as err:
+            print(err)
+"""
+
+
+def test_random_connected_refuses_a_probability_outside_0_1():
+    # in a child with a timeout: before the check, p <= 0 and NaN redrew forever
+    src = str(Path(relabel.graph.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", REFUSED_PROBABILITIES.format(src=src)],
+                         capture_output=True, text=True, timeout=30, check=True).stdout
+    lines = out.splitlines()
+    assert len(lines) == 21
+    assert all(line.startswith("edge_probability must be in (0, 1], got ") for line in lines)
+    # p inside (0, 1] keeps its draws
+    assert make_family("random_connected", 5, seed=0, edge_probability=1).m == 10
+    assert make_family("random_connected", 6, seed=4, edge_probability=0.5).edges == (
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5))

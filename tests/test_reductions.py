@@ -105,20 +105,7 @@ def test_gadget_compiler_matches_reference():
         assert str(got.value) == str(want.value)
 
 
-def assert_answers_like(got, want):
-    # an assembled graph against the checked Graph of the same edges
-    assert got == want and hash(got) == hash(want)
-    assert got.n == want.n and got.edges == want.edges
-    assert got.adjacency == want.adjacency
-    for u in range(want.n):
-        for v in range(want.n):
-            assert got.has_edge(u, v) == want.has_edge(u, v)
-    for u, v in want.edges:
-        assert got.edge_index(u, v) == got.edge_index(v, u) == want.edge_index(u, v)
-    assert getattr(got, "nope", None) is None and not hasattr(got, "nope")
-
-
-def test_pendant_graph_matches_checked_graph():
+def test_pendant_graph_matches_checked_graph(assert_like_checked):
     rng = random.Random(31)
     graphs = [Graph(0, []), Graph(1, []), make_family("star", 5),
               Graph(6, [(3, 4), (0, 5), (1, 2)])]  # disconnected
@@ -129,12 +116,11 @@ def test_pendant_graph_matches_checked_graph():
     for g in graphs:
         n = g.n
         got = pendant_graph(g)
-        want = Graph(2 * n, [(i, n + i) for i in range(n)] + list(g.edges))
-        assert_answers_like(got, want)
-        assert is_connected(got) == is_connected(want) == is_connected(Graph(n, g.edges))
+        assert got == Graph(2 * n, [(i, n + i) for i in range(n)] + list(g.edges))
+        assert_like_checked(got)
+        assert is_connected(got) == is_connected(Graph(n, g.edges))
         lg = line_graph(g)
-        assert_answers_like(lg, Graph(g.m, lg.edges))
-        assert is_connected(lg) == is_connected(Graph(g.m, lg.edges))
+        assert_like_checked(lg)
         # its edges are every pair of g's edges that share an endpoint
         assert lg.edges == tuple((i, j) for i in range(g.m) for j in range(i + 1, g.m)
                                  if set(g.edges[i]) & set(g.edges[j]))
