@@ -105,8 +105,6 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[Any, int]:
         flips = spanning_tree_transform(g, frm, to)
     if apply_vertex_sequence(g, frm, flips) != to:
         raise RuntimeError("self-check failed: sequence does not reach the target")
-    if args.verbose:
-        print(f"{len(flips)} flips via {args.method}", file=sys.stderr)
     return flip_sequence_to_json(flips), 0
 
 
@@ -195,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render labels, vertices, and flips 1-based")
         p.add_argument("--capacity-override", type=int, default=None,
                        help="raise the oracle capacity guard (states)")
-        p.add_argument("--verbose", action="store_true",
-                       help="human-readable notes on stderr")
 
     p = sub.add_parser("gen", help="generate a canonical family graph")
     p.add_argument("--family", required=True,

@@ -305,7 +305,8 @@ def spanning_tree_not_path(g: Graph) -> Graph:
     if is_path(g) or is_cycle(g):
         raise ValueError("every spanning tree of a path or cycle is a path")
     u = next(v for v in range(g.n) if g.degree(v) >= 3)
-    first = [g.edge_index(u, w) for w in g.adjacency[u][:3]]
+    # the three edges' positions, read off the edge list without building its index
+    first = [g.edges.index((u, w) if u < w else (w, u)) for w in g.adjacency[u][:3]]
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -367,7 +368,9 @@ def tree_path(t: Graph, u: int, v: int) -> list[int]:
 
 class _Rooted:
     """A tree rooted at vertex 0 by _bfs, for O(path) tree paths.  The
-    root is its own parent; path() never climbs past depth 0."""
+    root is its own parent; path() never climbs past depth 0.  path()
+    serves the privileged SW swaps; the spanning-tree transform climbs
+    parent, depth and up_edge itself."""
 
     __slots__ = ("tree", "parent", "depth", "up_edge")
 

@@ -4,9 +4,11 @@ The constructive transformation routes labels home one vertex at a time
 along a spanning tree, in leaf elimination order, never touching vertices
 already completed; it uses at most n(n-1)/2 flips.  The route from the
 label's holder to its home is the one tree path between them, found by
-climbing the tree rooted once at vertex 0.  Placing the labels takes
-O(n + flips) time and O(n) memory, on top of building the BFS spanning
-tree, O(n + m), and its leaf order, O(n log n).  Each flip is its tree
+climbing the tree rooted once at vertex 0; one climb per placement
+rotates the labels along the path and collects its edge tuples, with no
+path list built.  Placing the labels takes O(n + flips) time and O(n)
+memory, on top of building the BFS spanning tree, O(n + m), and its
+leaf order, O(n log n).  Each flip is its tree
 edge's one shared tuple, so a sequence costs 8 bytes a flip, and the
 tree-bound distance only sums step lengths.  The exact minimum for small
 graphs comes from the BFS oracle.
@@ -46,7 +48,12 @@ def _transform_steps(g: Graph, labels: Sequence[int], target: Sequence[int]
     v, so the holder-to-v path in it is the whole tree's one path between
     them.  The flip across a tree edge is that edge's own tuple in
     tree.edges, shared by every step that crosses it; the label bound for
-    v moves by one rotation of the labels along the path.
+    v moves by one rotation of the labels along the path: the holder's
+    label lands on v and every other label on the path moves one vertex
+    back toward the holder.  One climb from both ends of the path does
+    the rotation and collects the flips: the holder's side rotates as it
+    climbs, v's side records its vertices and rotates on the way back
+    down from the meeting vertex.
     """
     frm = validate_vertex_labeling(g, labels)
     to = validate_vertex_labeling(g, target)
@@ -55,16 +62,47 @@ def _transform_steps(g: Graph, labels: Sequence[int], target: Sequence[int]
     tree = spanning_tree(g)
     order = prufer_elimination_order(tree)
     rt = _Rooted(tree)
+    parent, depth, up_edge = rt.parent, rt.depth, rt.up_edge
     cur = list(frm)
     where = list(inverse(frm))
     for v in order[:-1]:
-        path, flips = rt.path(where[to[v]], v)
-        # the holder's label moves to v and every other label on the path
-        # one vertex back
-        for x, label in zip(path, [cur[x] for x in path[1:]] + [to[v]]):
-            cur[x] = label
-            where[label] = x
-        yield v, flips
+        label = to[v]
+        u = where[label]
+        w = v
+        step: list[tuple[int, ...]] = []
+        down: list[int] = []
+        # the holder's side: each vertex takes the label one vertex up
+        for _ in range(depth[u] - depth[w]):
+            p = parent[u]
+            moved = cur[p]
+            cur[u] = moved
+            where[moved] = u
+            step.append(up_edge[u])
+            u = p
+        # v's side, below the holder's depth: recorded only
+        for _ in range(depth[w] - depth[u]):
+            down.append(w)
+            w = parent[w]
+        # both ends at one depth climb together until they meet
+        while u != w:
+            p = parent[u]
+            moved = cur[p]
+            cur[u] = moved
+            where[moved] = u
+            step.append(up_edge[u])
+            u = p
+            down.append(w)
+            w = parent[w]
+        # from the meeting vertex down to v, each vertex takes the label one below
+        for x in reversed(down):
+            moved = cur[x]
+            cur[u] = moved
+            where[moved] = u
+            u = x
+        cur[u] = label  # u is v now
+        where[label] = u
+        step += map(up_edge.__getitem__, reversed(down))
+        yield v, step
     assert cur == list(to)
 
 

@@ -261,8 +261,12 @@ def test_edge_index_is_built_on_first_lookup():
         assert g._edge_index == {e: i for i, e in enumerate(g.edges)}
         assert lookup(g) == first == lookup(Graph(g.n, g.edges))
         assert all(built._edge_index is None for built in derived)
-    # spanning_tree_not_path looks up g's edges, not its own tree's
-    assert spanning_tree_not_path(make_family("star", 5))._edge_index is None
+    # spanning_tree_not_path reads its first three edges' positions off
+    # g's edge list, so neither g nor its tree builds an index
+    for g in (make_family("star", 5), make_family("grid", 3),
+              make_family("random_connected", 12, seed=4)):
+        tree = spanning_tree_not_path(g)
+        assert g._edge_index is None and tree._edge_index is None
     # Graph(n, edges) keeps the index its duplicate check built
     assert Graph(3, [(1, 0), (1, 2)])._edge_index == {(0, 1): 0, (1, 2): 1}
 

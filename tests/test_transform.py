@@ -106,6 +106,11 @@ def test_transform_steps_match_residual_bfs_reference():
     graphs += [make_family("path", 12), make_family("star", 12),
                make_family("cycle", 12), make_family("grid", 5),
                make_family("complete", 8)]
+    # long climbs on the holder's side, on v's side and on both; at
+    # p = 0.01 a 300-vertex draw is almost never connected, so p = 0.02
+    graphs += [make_family("path", 300), make_family("cycle", 300),
+               make_family("grid", 12), make_family("star", 300),
+               make_family("random_connected", 300, seed=4, edge_probability=0.02)]
     for g in graphs:
         ident = identity_labeling(g.n)
         reversal = tuple(reversed(ident))
