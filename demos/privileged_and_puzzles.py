@@ -47,7 +47,7 @@ print(f"cycle instance solved with {len(flips)} restricted flips")
 # the 2x2 sliding puzzle: half the configurations are unreachable
 inst = puzzle_instance(2, [0, 1, 2, 3], [1, 0, 2, 3], 10)
 space = ConfigurationSpace(inst.graph, privileged=inst.privileged)
-size = component(space, inst.from_labels).size
+size = component(space, inst.from_labels)
 print(f"2x2 puzzle: {size} of 24 board states reachable")
 answer, method, witness = resolve_solvable(inst, want_witness=True)
 print(f"  swapping two tiles only: {answer} (method: {method})")

@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 # every library module, with the names the package re-exports from it
 _EXPORTS = {
-    "perm": ("compose", "cycle_count", "cycle_decomposition", "from_cycles", "identity",
-             "inverse", "inversions", "parity", "pi_zero", "support", "transposition"),
+    "perm": ("compose", "cycle_count", "cycle_decomposition", "from_cycles", "inverse",
+             "inversions", "parity", "pi_zero"),
     "graph": ("Graph", "cycle_vertex_order", "is_connected", "is_cycle", "is_path",
               "is_tree", "line_graph", "make_family", "path_vertex_order",
               "prufer_elimination_order", "spanning_tree", "spanning_tree_not_path",
@@ -28,8 +28,7 @@ _EXPORTS = {
                  "validate_edge_labeling", "validate_vertex_labeling"),
     "exact_path": ("path_distance", "path_exact_t_feasible", "path_flip_sequence",
                    "transposition_cost_on_path"),
-    "exact_star": ("star_distance", "star_exact_t_feasible", "star_flip_sequence",
-                   "star_max_distance", "star_q"),
+    "exact_star": ("star_distance", "star_flip_sequence", "star_max_distance", "star_q"),
     "oracle": ("CAPACITY_LIMIT", "CapacityError", "ConfigurationSpace", "bfs_distance",
                "component", "diameter", "distance_distribution", "distance_map",
                "reachable_in_exactly", "shortest_flip_sequence"),

@@ -153,8 +153,8 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, int]:
                          reachable_in_exactly)
     g = _load_graph(args.graph)
     privileged = None
-    if args.privileged:
-        privileged = [int(x) for x in args.privileged.split(",")]
+    if args.privileged is not None:  # "" is the empty set, which the library refuses
+        privileged = [int(x) for x in args.privileged.split(",")] if args.privileged else []
     space = ConfigurationSpace(g, mode=args.mode, privileged=privileged,
                                capacity=_capacity(args))
     if args.diameter:
@@ -181,6 +181,18 @@ def _capacity_error() -> type[Exception]:
     return CapacityError
 
 
+def _one_based_option(p: argparse.ArgumentParser) -> None:
+    # only on the subcommands whose output has a key _one_based shifts
+    p.add_argument("--one-based", action="store_true",
+                   help="render labels, vertices, and flips 1-based")
+
+
+def _capacity_option(p: argparse.ArgumentParser) -> None:
+    # only on the subcommands that can run an oracle search
+    p.add_argument("--capacity-override", type=int, default=None,
+                   help="raise the oracle capacity guard (states)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relabel",
@@ -188,19 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--one-based", action="store_true",
-                       help="render labels, vertices, and flips 1-based")
-        p.add_argument("--capacity-override", type=int, default=None,
-                       help="raise the oracle capacity guard (states)")
-
     p = sub.add_parser("gen", help="generate a canonical family graph")
     p.add_argument("--family", required=True,
                    choices=["path", "star", "cycle", "grid", "complete",
                             "random_connected"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    common(p)
+    _one_based_option(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("distance", help="minimum flips between vertex labelings")
@@ -210,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     # distance() rejects an unknown method, so the parser need not import it
     p.add_argument("--method", default="auto",
                    help="auto (default), path, star, bfs or tree-bound")
-    common(p)
+    _capacity_option(p)
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("transform", help="flip sequence between vertex labelings")
@@ -218,18 +224,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--to", dest="target", required=True)
     p.add_argument("--method", default="tree-bound", choices=["tree-bound", "bfs"])
-    common(p)
+    _one_based_option(p)
+    _capacity_option(p)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("reduce", help="map instances between vertex and edge problems")
     p.add_argument("--direction", required=True, choices=["v2e", "e2v"])
     p.add_argument("--instance", required=True)
-    common(p)
+    _one_based_option(p)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("solvable", help="decide a privileged-labels instance")
     p.add_argument("--instance", required=True)
-    common(p)
+    _one_based_option(p)
+    _capacity_option(p)
     p.set_defaults(func=_cmd_solvable)
 
     p = sub.add_parser("puzzle", help="build a privileged instance from puzzle boards")
@@ -237,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1", required=True, help="board file or inline JSON")
     p.add_argument("--b2", required=True, help="board file or inline JSON")
     p.add_argument("--k", type=int, required=True)
-    common(p)
+    _one_based_option(p)
     p.set_defaults(func=_cmd_puzzle)
 
     p = sub.add_parser("oracle", help="exhaustive BFS over the configuration space")
@@ -250,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--diameter", action="store_true")
     p.add_argument("--distribution", action="store_true")
-    common(p)
+    _capacity_option(p)
     p.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -270,7 +278,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _capacity_error() as exc:  # evaluated only once something was raised
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(out, args.one_based)
+    _emit(out, getattr(args, "one_based", False))
     return code
 
 

@@ -35,16 +35,23 @@ def path_flip_sequence(labels: Sequence[int],
     Places the largest label first: label v walks right to position v,
     shrinking the residual problem.  Each flip removes exactly one
     inversion, so the length equals path_distance(labels, target).
+    """
+    return _path_flips(labels, target, [(k, k + 1) for k in range(len(labels) - 1)])
+
+
+def _path_flips(labels: Sequence[int], target: Sequence[int],
+                edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """path_flip_sequence along a path whose k-th edge, joining positions
+    k and k + 1, is edges[k]: each flip is one of those tuples.
 
     With c the inversion table, label v starts its walk at v - c[v]: the
     labels above v already sit to its right, and the labels below v keep
     their original order, so c[v] of them lie right of v.  Its walk is the
-    slice [v - c[v], v) of one list of path edges, so the run takes
-    O(n log n + flips) time with no swap and no search.
+    slice [v - c[v], v) of edges, so the run takes O(n log n + flips) time
+    with no swap and no search.
     """
     rel = relative_permutation(labels, target)
     c = inversion_table(rel)
-    edges = [(k, k + 1) for k in range(len(rel) - 1)]
     flips: list[tuple[int, int]] = []
     for v in range(len(rel) - 1, 0, -1):
         flips += edges[v - c[v]:v]

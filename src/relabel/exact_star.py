@@ -11,7 +11,8 @@ permutation pi is the parameter q:
 
 where pi0 is pi normalized to fix 0.  Exactly t flips work iff t >= q
 and t has the same parity as q, except that q = 0 < t needs a leaf to
-flip with.  An empty labeling has no center and raises ValueError.
+flip with (labeling.exact_t_rule).  An empty labeling has no center
+and raises ValueError.
 
 Distance and sequence both take O(n): q comes from one walk over the
 cycles, and each call validates the two labelings once, in O(n) with one
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .labeling import exact_t_rule, relative_permutation
+from .labeling import relative_permutation
 from .perm import validated
 
 
@@ -91,11 +92,6 @@ def star_flip_sequence(labels: Sequence[int],
         flips.append((0, i))
         rel[0], rel[i] = rel[i], rel[0]
     return flips
-
-
-def star_exact_t_feasible(labels: Sequence[int], target: Sequence[int], t: int) -> bool:
-    """True iff the transformation is doable in exactly t flips."""
-    return exact_t_rule(star_distance(labels, target), t, len(labels) > 1)
 
 
 def star_max_distance(n: int) -> int:

@@ -21,7 +21,8 @@ from collections import deque
 from typing import Iterable, Sequence
 
 FAMILIES = ("path", "star", "cycle", "grid", "complete", "random_connected")
-# make_family refuses a member with more vertices, or more (candidate) edges, than this
+# make_family refuses a member with more vertices, or more (candidate) edges, than
+# this, and jsonio.graph_from_json a decoded graph
 FAMILY_SIZE_LIMIT = 10 ** 7
 
 

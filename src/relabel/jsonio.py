@@ -13,14 +13,15 @@ The decoders accept only JSON integers (not booleans) for vertex counts,
 edge endpoints, labels, board cells, flips, privileged labels and bounds,
 and only the keys above in graph, labeling and instance objects (a
 labeling has exactly one of its two keys); they raise ValueError for
-anything else.
+anything else, and for a graph of more than graph.FAMILY_SIZE_LIMIT
+vertices or edges, the size make_family refuses too.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .graph import Graph
+from .graph import FAMILY_SIZE_LIMIT, Graph
 
 if TYPE_CHECKING:  # the instance codecs import the one instance module they need
     from .privileged import PrivilegedInstance
@@ -60,7 +61,11 @@ def graph_from_json(obj: Any) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('graph JSON needs "n" and "edges"')
     _known_keys(obj, ("n", "edges"), "graph")
-    return Graph(_int(obj["n"], "vertex count"), _pairs(obj["edges"], "edges"))
+    n, edges = _int(obj["n"], "vertex count"), _pairs(obj["edges"], "edges")
+    if max(n, len(edges)) > FAMILY_SIZE_LIMIT:  # before Graph allocates n rows
+        raise ValueError(f"graph of {n} vertices and {len(edges)} edges; "
+                         f"the limit is {FAMILY_SIZE_LIMIT} of each")
+    return Graph(n, edges)
 
 
 def labeling_from_json(obj: Any) -> tuple[str, tuple[int, ...]]:

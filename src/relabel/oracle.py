@@ -28,10 +28,12 @@ that label across one edge, so the labeling's sign times the colour of
 its position never changes (Wilson, JCTB 1974), and a target where it
 differs is "not reached" at once too.
 All searches validate their labelings and refuse a space of more than
-256 positions, which a bytes key cannot hold.  Then a target that an
-invariant rules out is answered at once, at any size; every other search
-refuses to start when the space would exceed the capacity guard (10!
-states by default; pass a larger capacity explicitly to override).
+256 positions, which a bytes key cannot hold; an edge-mode space counts
+its positions from the edges and builds its line graph only for a search
+or invariant that reads it.  Then a target that an invariant rules out
+is answered at once, at any size; every other search refuses to start
+when the space would exceed the capacity guard (10! states by default;
+pass a larger capacity explicitly to override).
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import islice
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .graph import Graph, _bfs, line_graph
-from .labeling import exact_t_rule, identity_labeling, validate_vertex_labeling
+from .labeling import (exact_t_rule, identity_labeling, validate_edge_labeling,
+                       validate_vertex_labeling)
 from .perm import parity
 
 CAPACITY_LIMIT = math.factorial(10)
@@ -63,21 +66,24 @@ class ConfigurationSpace:
             raise ValueError(f"mode must be 'vertex' or 'edge', got {mode!r}")
         self.graph = graph
         self.mode = mode
-        self.base = line_graph(graph) if mode == "edge" else graph
+        self.positions = graph.m if mode == "edge" else graph.n
         if privileged is not None:
             s = frozenset(privileged)
             if not s:
                 raise ValueError("privileged set must be nonempty")
-            if not all(0 <= x < self.base.n for x in s):
+            if not all(0 <= x < self.positions for x in s):
                 raise ValueError("privileged labels out of range")
             self.privileged = s
         else:
             self.privileged = None
         self.capacity = CAPACITY_LIMIT if capacity is None else capacity
 
-    @property
-    def positions(self) -> int:
-        return self.base.n
+    @cached_property
+    def base(self) -> Graph:
+        """The graph whose vertex flips are this space's flips: the graph
+        itself, or in edge mode its line graph, built on first use, so a
+        space refused for its size never builds it."""
+        return line_graph(self.graph) if self.mode == "edge" else self.graph
 
     def size(self) -> int:
         return math.factorial(self.positions)
@@ -93,7 +99,9 @@ class ConfigurationSpace:
             )
 
     def validate_state(self, state: Sequence[int]) -> tuple[int, ...]:
-        return validate_vertex_labeling(self.base, state)
+        if self.mode == "edge":
+            return validate_edge_labeling(self.graph, state)
+        return validate_vertex_labeling(self.graph, state)
 
     def identity_state(self) -> tuple[int, ...]:
         return identity_labeling(self.positions)
@@ -265,29 +273,18 @@ def reachable_in_exactly(space: ConfigurationSpace, frm: Sequence[int],
     return exact_t_rule(d, t, d == 0 and bool(_legal_flips(space)(src)))
 
 
-class ComponentSummary(NamedTuple):
-    size: int
-    states: tuple[tuple[int, ...], ...] | None
+def component(space: ConfigurationSpace, frm: Sequence[int]) -> int:
+    """Size of the reachable set from frm.
 
-
-def component(space: ConfigurationSpace, frm: Sequence[int],
-              cap: int | None = None) -> ComponentSummary:
-    """Size of the reachable set from frm, with up to cap states listed.
-
-    Without cap no key turns back into a labeling: an unrestricted space
-    gives the size from its invariants with no search, any other from
-    the search.
+    No key turns back into a labeling: an unrestricted space gives the
+    size from its invariants with no search, any other from the search.
     """
-    if cap is None:
-        (src,) = _keys(space, frm)
-        size = space._invariants[1]
-        if size:
-            space.check_capacity()
-        else:
-            size = len(_search(space, src)[0])
-        return ComponentSummary(size, None)
-    dist = distance_map(space, frm)
-    return ComponentSummary(len(dist), tuple(sorted(dist)[:cap]))
+    (src,) = _keys(space, frm)
+    size = space._invariants[1]
+    if size:
+        space.check_capacity()
+        return size
+    return len(_search(space, src)[0])
 
 
 def diameter(space: ConfigurationSpace, frm: Sequence[int] | None = None) -> int:

@@ -13,10 +13,6 @@ from typing import Sequence
 Perm = "tuple[int, ...]"
 
 
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def is_permutation(p: Sequence[int]) -> bool:
     """True iff p is a bijection on {0, ..., len(p)-1} whose entries are ints.
 
@@ -60,15 +56,6 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return itemgetter(*q)(p)
 
 
-def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
-    """The permutation of n elements swapping i and j."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"transposition ({i},{j}) out of range for n={n}")
-    word = list(range(n))
-    word[i], word[j] = word[j], word[i]
-    return tuple(word)
-
-
 def cycle_decomposition(p: Sequence[int]) -> list[tuple[int, ...]]:
     """Nontrivial disjoint cycles of p, in canonical form.
 
@@ -106,11 +93,6 @@ def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 raise ValueError("cycles are not disjoint")
             word[v] = cycle[(k + 1) % len(cycle)]
     return tuple(word)
-
-
-def support(p: Sequence[int]) -> tuple[int, ...]:
-    """The elements moved by p, ascending."""
-    return tuple(i for i, v in enumerate(p) if v != i)
 
 
 def cycle_count(p: Sequence[int]) -> int:

@@ -340,7 +340,8 @@ def privileged_transform(inst: PrivilegedInstance) -> list[tuple[int, int]]:
     Edge instances are solved on the line graph, where the flips are edge
     flips.  Raises UnsolvableError when no sequence exists.
 
-    Paths take O(n log n + flips) time.  With two non-privileged labels,
+    Paths take O(n log n + flips) time, each label's walk being one slice
+    of the path's edge tuples.  With two non-privileged labels,
     trees take O(n + flips) after building the spanning tree, plus an O(n)
     search each time the two trade places, and cycles O(n + flips), each
     run of flips that carries one label being one slice of the cycle's
@@ -369,10 +370,9 @@ def _transform(inst: PrivilegedInstance, order: list[int] | None
         from .transform import spanning_tree_transform
         return spanning_tree_transform(g, frm, to)
     if order is not None:
-        from .exact_path import path_flip_sequence
+        from .exact_path import _path_flips
         edge = [g.edges[g.edge_index(u, v)] for u, v in zip(order, order[1:])]
-        flips = path_flip_sequence([frm[v] for v in order], [to[v] for v in order])
-        return [edge[k] for k, _ in flips]
+        return _path_flips([frm[v] for v in order], [to[v] for v in order], edge)
     if len(nonpriv) > 2:
         raise ValueError("at most two non-privileged labels supported off a path")
     if is_cycle(g):

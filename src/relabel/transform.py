@@ -119,13 +119,12 @@ def spanning_tree_transform(g: Graph, labels: Sequence[int],
     return flips
 
 
-def distance_upper_bound(g: Graph, mode: str = "vertex") -> int:
-    """n(n-1)/2 flips always suffice (m(m-1)/2 for edge labelings)."""
-    if mode == "vertex":
-        return g.n * (g.n - 1) // 2
-    if mode == "edge":
-        return g.m * (g.m - 1) // 2
-    raise ValueError(f"mode must be 'vertex' or 'edge', got {mode!r}")
+def distance_upper_bound(g: Graph) -> int:
+    """n(n-1)/2 flips always suffice between two vertex labelings of g.
+
+    For edge labelings the bound is this one on line_graph(g), m(m-1)/2.
+    """
+    return g.n * (g.n - 1) // 2
 
 
 class Distance(NamedTuple):

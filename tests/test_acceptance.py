@@ -266,7 +266,7 @@ def test_criterion_7_privileged_characterization():
 def test_criterion_8_puzzle_halving():
     inst = puzzle_instance(2, [0, 1, 2, 3], [0, 1, 2, 3], 0)
     space = ConfigurationSpace(inst.graph, privileged=inst.privileged)
-    size = component(space, inst.from_labels).size
+    size = component(space, inst.from_labels)
     report(8, "2x2 puzzle reaches exactly 12 of 24 states", size == 12,
            f"component size {size}")
     assert size == 12

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import relabel
-from relabel.cli import main
+from relabel.cli import build_parser, main
 from relabel.graph import Graph, make_family
 from relabel.jsonio import graph_to_json
 from relabel.labeling import apply_vertex_sequence
@@ -334,6 +335,35 @@ def test_oracle_restricted_unreachable(capsys, p4_files):
     assert code == 0 and out == {"distance": None}
 
 
+def test_oracle_empty_privileged_set_exits_2(capsys, p4_files):
+    # "" names the empty set, which the library refuses; it is not "no set"
+    graph, rev, ident = p4_files
+    assert_input_error(capsys, "oracle", "--graph", graph, "--privileged", "", "--diameter")
+    assert_input_error(capsys, "oracle", "--graph", graph, "--privileged", "",
+                       "--from", rev, "--to", ident)
+
+
+def test_edge_mode_refusal_builds_no_line_graph(capsys, monkeypatch, tmp_path):
+    # K_30 has 435 edges, more positions than a search key holds: the space
+    # counts them from the edges and refuses before building its line graph
+    def no_line_graph(g):
+        raise AssertionError("line_graph called")
+    graph = write(tmp_path, "k30.json", graph_to_json(make_family("complete", 30)))
+    monkeypatch.setattr(relabel.oracle, "line_graph", no_line_graph)
+    for query in (["--diameter"], ["--distribution"]):
+        assert main(["oracle", "--graph", graph, "--mode", "edge", *query]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: 435 positions exceed the 256 a search "
+                                     "can hold\n")
+    # a malformed labeling is still refused as input first, and so is a
+    # privileged label past the edge count
+    short = write(tmp_path, "short.json", {"edge_labels": [1, 0]})
+    assert_input_error(capsys, "oracle", "--graph", graph, "--mode", "edge",
+                       "--from", short, "--to", short)
+    assert_input_error(capsys, "oracle", "--graph", graph, "--mode", "edge",
+                       "--privileged", "435", "--diameter")
+
+
 def test_oracle_edge_mode(capsys, tmp_path):
     graph = write(tmp_path, "s4.json", graph_to_json(make_family("star", 4)))
     code, out = run(capsys, "oracle", "--graph", graph, "--mode", "edge",
@@ -389,6 +419,25 @@ def test_gen_size_guard(capsys):
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert_input_error(capsys, "gen", "--family", "complete", "--n", "5000")
+
+
+def test_decoded_graph_size_guard(capsys, monkeypatch, tmp_path):
+    # 30 bytes that would have Graph build 10^9 neighbour rows: refused
+    # before a single row is built
+    def no_rows(*args):
+        raise AssertionError("graph._rows called")
+    monkeypatch.setattr(relabel.graph, "_rows", no_rows)
+    huge = write(tmp_path, "huge.json", {"n": 10 ** 9, "edges": []})
+    assert_input_error(capsys, "oracle", "--graph", huge, "--diameter")
+    assert_input_error(capsys, "distance", "--graph", huge, "--from", huge, "--to", huge)
+    inst = write(tmp_path, "inst.json", {"kind": "vertex", "graph": {"n": 10 ** 9, "edges": []},
+                                         "from": {"labels": [0]}, "to": {"labels": [0]},
+                                         "t": 0})
+    assert_input_error(capsys, "reduce", "--direction", "v2e", "--instance", inst)
+    # the edge count meets the same limit, here lowered so no large list is built
+    monkeypatch.setattr(relabel.jsonio, "FAMILY_SIZE_LIMIT", 2)
+    three = write(tmp_path, "three.json", {"n": 2, "edges": [[0, 1], [0, 1], [0, 1]]})
+    assert_input_error(capsys, "oracle", "--graph", three, "--diameter")
 
 
 @pytest.fixture
@@ -505,3 +554,33 @@ def test_unknown_json_keys_exit_2(capsys, tmp_path):
     assert code == 0
     code, res = run(capsys, "solvable", "--instance", write(tmp_path, "puz.json", puzzle))
     assert code == 0 and res["answer"] == "yes"
+
+
+# each subcommand's options: --one-based only where the output has a key it
+# shifts, --capacity-override only where a request can run an oracle search
+OPTIONS = {
+    "gen": {"--family", "--n", "--seed", "--one-based"},
+    "distance": {"--graph", "--from", "--to", "--method", "--capacity-override"},
+    "transform": {"--graph", "--from", "--to", "--method", "--one-based",
+                  "--capacity-override"},
+    "reduce": {"--direction", "--instance", "--one-based"},
+    "solvable": {"--instance", "--one-based", "--capacity-override"},
+    "puzzle": {"--side", "--b1", "--b2", "--k", "--one-based"},
+    "oracle": {"--graph", "--mode", "--privileged", "--from", "--to", "--t", "--diameter",
+               "--distribution", "--capacity-override"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads(capsys, p4_files):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS
+    graph, rev, ident = p4_files
+    for argv in (("distance", "--graph", graph, "--from", rev, "--to", ident, "--one-based"),
+                 ("oracle", "--graph", graph, "--diameter", "--one-based"),
+                 ("gen", "--family", "path", "--n", "3", "--capacity-override", "9")):
+        assert main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments" in err

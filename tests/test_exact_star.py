@@ -5,13 +5,13 @@ import pytest
 
 from relabel.exact_star import (
     star_distance,
-    star_exact_t_feasible,
     star_flip_sequence,
     star_max_distance,
     star_q,
 )
 from relabel.graph import make_family
-from relabel.labeling import apply_vertex_flip, apply_vertex_sequence, identity_labeling
+from relabel.labeling import (apply_vertex_flip, apply_vertex_sequence, exact_t_rule,
+                              identity_labeling)
 from relabel.oracle import ConfigurationSpace, distance_distribution, distance_map
 from relabel.perm import cycle_decomposition, pi_zero
 
@@ -118,25 +118,16 @@ def test_plus_minus_one_step():
                 assert abs(star_q(apply_vertex_flip(g, lab, edge)) - q) == 1
 
 
-def test_exact_t_examples():
-    ident = identity_labeling(3)
-    lab = (1, 2, 0)  # q = 2
-    assert star_exact_t_feasible(lab, ident, 2)
-    assert not star_exact_t_feasible(lab, ident, 3)
-    assert star_exact_t_feasible(lab, ident, 4)
-    assert not star_exact_t_feasible(ident, ident, 1)
-
-
 def test_exact_t_matches_oracle_walks():
     from relabel.oracle import reachable_in_exactly
 
-    # n = 1: no flip at all, so only t = 0 works
+    # the exact-t rule over star_distance; n = 1: no flip at all, so only t = 0 works
     for n in (1, 4):
         space = ConfigurationSpace(make_family("star", n))
         ident = identity_labeling(n)
         for lab in itertools.permutations(range(n)):
             for t in range(7):
-                assert star_exact_t_feasible(lab, ident, t) == \
+                assert exact_t_rule(star_distance(lab, ident), t, n > 1) == \
                     reachable_in_exactly(space, lab, ident, t)
 
 

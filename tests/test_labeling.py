@@ -14,7 +14,7 @@ from relabel.labeling import (
     relative_permutation,
     validate_vertex_labeling,
 )
-from relabel.perm import compose, identity, is_permutation
+from relabel.perm import compose, is_permutation
 
 
 def test_apply_flip_examples():
@@ -125,7 +125,7 @@ def test_sequences_match_the_per_flip_fold():
 
 def test_relative_permutation_examples():
     lab = (2, 0, 1)
-    assert relative_permutation(lab, lab) == identity(3)
+    assert relative_permutation(lab, lab) == identity_labeling(3)
     assert relative_permutation((1, 0, 2), (0, 1, 2)) == (1, 0, 2)
     rel = relative_permutation((2, 0, 1), (1, 2, 0))
     assert compose((1, 2, 0), rel) == (2, 0, 1)
@@ -139,7 +139,7 @@ def test_relative_permutation_recomposition_random():
         b = tuple(rng.sample(range(n), n))
         rel = relative_permutation(a, b)
         assert compose(b, rel) == a
-        assert relative_permutation(a, a) == identity(n)
+        assert relative_permutation(a, a) == identity_labeling(n)
 
 
 def test_relative_permutation_size_mismatch():

@@ -36,6 +36,18 @@ def test_exported_names_are_the_objects_their_modules_define():
     assert set(relabel.__all__) <= set(namespace)
 
 
+def test_all_is_the_exported_names():
+    assert relabel.__all__ == sorted(name for names in relabel._EXPORTS.values()
+                                     for name in names)
+    assert len(relabel.__all__) == 69
+    # names that had no caller are gone from the package and their modules
+    for module, name in (("perm", "identity"), ("perm", "support"), ("perm", "transposition"),
+                         ("exact_star", "star_exact_t_feasible"),
+                         ("oracle", "ComponentSummary")):
+        assert name not in relabel.__all__
+        assert not hasattr(getattr(relabel, module), name), name
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         relabel.no_such_name

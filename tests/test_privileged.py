@@ -8,7 +8,7 @@ import pytest
 
 import relabel.graph
 import relabel.privileged
-from relabel.exact_path import path_distance
+from relabel.exact_path import path_distance, path_flip_sequence
 from relabel.graph import (
     Graph,
     cycle_vertex_order,
@@ -462,7 +462,7 @@ def test_puzzle_instance():
 def test_puzzle_half_reachable():
     inst = puzzle_instance(2, [0, 1, 2, 3], [0, 1, 2, 3], 0)
     space = ConfigurationSpace(inst.graph, privileged=inst.privileged)
-    assert component(space, inst.from_labels).size == 12
+    assert component(space, inst.from_labels) == 12
 
 
 def test_puzzle_one_move():
@@ -867,6 +867,31 @@ def test_privileged_instance_checks_what_it_is_given(permutation_checks):
         for priv, t in ((frozenset(), None), (frozenset({count}), None), (frozenset({0}), -1)):
             with pytest.raises(ValueError):
                 PrivilegedInstance(g, kind, ident, ident, priv, t)
+
+
+def test_path_witness_is_path_flip_sequence_on_the_path_edges():
+    # flip for flip, path_flip_sequence in the path's order with each flip
+    # (k, k + 1) written as the path's k-th edge, the graph's own tuple
+    rng = random.Random(29)
+    for n in (3, 6, 40):
+        g = shuffled_path(rng, n)
+        order = path_vertex_order(g)
+        edge = [g.edges[g.edge_index(u, v)] for u, v in zip(order, order[1:])]
+        for _ in range(20):
+            frm = tuple(rng.sample(range(n), n))
+            to = rng.sample(range(n), n)
+            a_lab, b_lab = rng.sample(range(n), 2)
+            before = [order.index(x.index(a_lab)) < order.index(x.index(b_lab))
+                      for x in (frm, to)]
+            if before[0] != before[1]:  # keep the two in their order
+                i, j = to.index(a_lab), to.index(b_lab)
+                to[i], to[j] = to[j], to[i]
+            inst = PrivilegedInstance(g, "vertex", frm, tuple(to),
+                                      frozenset(range(n)) - {a_lab, b_lab})
+            flips = privileged_transform(inst)
+            want = path_flip_sequence([frm[v] for v in order], [to[v] for v in order])
+            assert flips == [edge[k] for k, _ in want]
+            assert all(f is edge[order.index(min(f, key=order.index))] for f in flips)
 
 
 def test_path_shape_read_once_per_call(monkeypatch):

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from relabel.graph import Graph, make_family, prufer_elimination_order, spanning_tree
+from relabel.graph import Graph, line_graph, make_family, prufer_elimination_order, spanning_tree
 from relabel.labeling import (
     apply_vertex_sequence,
     identity_labeling,
@@ -156,10 +156,9 @@ def test_tree_bound_is_the_transform_length_past_capacity():
 
 def test_upper_bound_values():
     assert distance_upper_bound(make_family("path", 5)) == 10
-    assert distance_upper_bound(make_family("path", 5), mode="edge") == 6
     assert distance_upper_bound(make_family("path", 1)) == 0
-    with pytest.raises(ValueError):
-        distance_upper_bound(make_family("path", 3), mode="face")
+    # edge labelings: the bound on the line graph, m(m-1)/2
+    assert distance_upper_bound(line_graph(make_family("path", 5))) == 6
 
 
 def test_p_g_agrees_with_closed_forms():
