@@ -148,6 +148,14 @@ def _cmd_puzzle(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> tuple[Any, int]:
+    # one question per request: a whole-space query answers none of the others
+    whole = [opt for opt, on in (("--diameter", args.diameter),
+                                 ("--distribution", args.distribution)) if on]
+    point = [opt for opt, value in (("--from", args.source), ("--to", args.target),
+                                    ("--t", args.t)) if value is not None]
+    if len(whole) > 1 or (whole and point):
+        raise ValueError(f"{', '.join(whole + point)} cannot be combined: ask for "
+                         "--diameter, --distribution, or --from and --to with optional --t")
     from .jsonio import labeling_from_json
     from .oracle import (ConfigurationSpace, bfs_distance, diameter, distance_distribution,
                          reachable_in_exactly)

@@ -7,8 +7,9 @@ permutation, and t flips suffice exactly when t is at least that count
 and of the same parity, except that a count of 0 < t needs an edge to
 flip.
 
-Costs: the distance takes O(n log n), from a Fenwick-tree inversion
-table; the sequence O(n log n + flips).  Each call validates the two
+Costs: the distance takes O(n log n), from an inversion table counted
+by bisecting sorted blocks of values under a Fenwick tree over the
+blocks; the sequence O(n log n + flips).  Each call validates the two
 labelings once, in O(n) with one C-level pass per check.
 """
 

@@ -7,10 +7,17 @@ tuples.  Everything here is 0-based.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Sequence
 
 Perm = "tuple[int, ...]"
+
+# inversion_table groups values into blocks of 2^_BLOCK_BITS.  Of 64 to 1024,
+# 1024 was the fastest on random and reversed inputs of 2*10^4 labels and
+# within 3% of the fastest at 10^5 and 10^6; sorted inputs favour 256
+# (CPython 3.11 on a 2-core Xeon VM).
+_BLOCK_BITS = 10
 
 
 def is_permutation(p: Sequence[int]) -> bool:
@@ -104,24 +111,36 @@ def inversion_table(p: Sequence[int]) -> list[int]:
     """c[v] = the number of labels smaller than v that lie to the right of v.
 
     p must be a permutation of {0, ..., n-1}.  One right-to-left pass over
-    p with a Fenwick tree over values counts, for each v, the smaller
-    values already passed, in O(n log n) time and O(n) memory.
+    p counts, for each v, the smaller values already passed, on two levels.
+    The values are grouped into blocks of 2^_BLOCK_BITS consecutive values,
+    each keeping its passed values in a sorted list: a C-level bisect
+    counts the smaller ones in v's own block, and a Fenwick tree over the
+    blocks counts those in the lower blocks.  Inserting v moves at most
+    2^_BLOCK_BITS entries of its block, so the pass takes O(n log n) time
+    and O(n) memory.
 
     >>> inversion_table([2, 0, 1])
     [0, 0, 2]
     """
     n = len(p)
-    tree = [0] * (n + 1)  # tree[i] counts the passed values in [i - lowbit(i), i)
+    blocks_n = (n >> _BLOCK_BITS) + 1
+    blocks: list[list[int]] = [[] for _ in range(blocks_n)]
+    # tree[i] counts the passed values in blocks [i - lowbit(i), i); the last
+    # block is never below another, so it needs no node
+    tree = [0] * blocks_n
     c = [0] * n
     for v in reversed(p):
-        smaller = 0
-        i = v
+        b = v >> _BLOCK_BITS
+        block = blocks[b]
+        smaller = bisect_left(block, v)
+        block.insert(smaller, v)
+        i = b
         while i:
             smaller += tree[i]
             i &= i - 1
         c[v] = smaller
-        i = v + 1
-        while i <= n:
+        i = b + 1
+        while i < blocks_n:
             tree[i] += 1
             i += i & -i
     return c

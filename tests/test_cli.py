@@ -335,6 +335,27 @@ def test_oracle_restricted_unreachable(capsys, p4_files):
     assert code == 0 and out == {"distance": None}
 
 
+@pytest.mark.parametrize("query", [
+    ("--diameter", "--distribution"),
+    ("--diameter", "--from", "REV"),
+    ("--diameter", "--to", "ID"),
+    ("--diameter", "--t", "3"),
+    ("--diameter", "--from", "REV", "--to", "ID", "--t", "3"),
+    ("--distribution", "--from", "REV"),
+    ("--distribution", "--to", "ID"),
+    ("--distribution", "--t", "3"),
+    ("--distribution", "--from", "REV", "--to", "ID"),
+])
+def test_oracle_refuses_conflicting_queries(capsys, monkeypatch, p4_files, query):
+    # a whole-space query answers none of the others, so it comes alone;
+    # the refusal names the options and runs no search
+    graph, rev, ident = p4_files
+    monkeypatch.setattr(relabel.oracle, "ConfigurationSpace", None)
+    argv = [{"REV": rev, "ID": ident}.get(a, a) for a in query]
+    err = assert_input_error(capsys, "oracle", "--graph", graph, *argv)
+    assert all(opt in err for opt in query if opt.startswith("--")), err
+
+
 def test_oracle_empty_privileged_set_exits_2(capsys, p4_files):
     # "" names the empty set, which the library refuses; it is not "no set"
     graph, rev, ident = p4_files
@@ -407,6 +428,7 @@ def assert_input_error(capsys, *argv):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    return err
 
 
 def test_gen_size_guard(capsys):
